@@ -2,13 +2,15 @@
 // fault-expression evaluation, the fault parser sweep per view change
 // (§3.5.5 — the thesis flags it as a future optimization target), recorder
 // appends, convex-hull bound computation, predicate evaluation, global
-// timeline construction, and one full experiment as a macro-benchmark.
+// timeline construction, the per-result clock bounds and cache key, and one
+// full experiment as a macro-benchmark.
 #include <benchmark/benchmark.h>
 
 #include "analysis/pipeline.hpp"
 #include "apps/election.hpp"
 #include "campaign/campaign.hpp"
 #include "clocksync/convex_hull.hpp"
+#include "clocksync/projection.hpp"
 #include "measure/observation.hpp"
 #include "measure/worked_example.hpp"
 #include "runtime/compiled_fault.hpp"
@@ -17,6 +19,7 @@
 #include "runtime/fault_parser.hpp"
 #include "runtime/recorder.hpp"
 #include "runtime/experiment.hpp"
+#include "runtime/serialize.hpp"
 
 using namespace loki;
 
@@ -133,23 +136,24 @@ void BM_RecorderAppend(benchmark::State& state) {
 BENCHMARK(BM_RecorderAppend);
 
 void BM_ConvexHullBounds(benchmark::State& state) {
+  constexpr std::uint32_t kRef = 0, kTgt = 1;  // host-table ids
   const int n = static_cast<int>(state.range(0));
   Rng rng(7);
   clocksync::SyncData samples;
   double t = 1e9;
   for (int i = 0; i < n; ++i) {
     const double d1 = 20e3 + rng.exponential(100e3);
-    samples.push_back({"ref", "tgt", LocalTime{(std::int64_t)t},
+    samples.push_back({kRef, kTgt, LocalTime{(std::int64_t)t},
                        LocalTime{(std::int64_t)(1e9 + 1.00004 * (t + d1))}});
     t += 2e6;
     const double d2 = 20e3 + rng.exponential(100e3);
-    samples.push_back({"tgt", "ref",
+    samples.push_back({kTgt, kRef,
                        LocalTime{(std::int64_t)(1e9 + 1.00004 * t)},
                        LocalTime{(std::int64_t)(t + d2)}});
     t += 2e6;
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(clocksync::estimate_bounds(samples, "ref", "tgt"));
+    benchmark::DoNotOptimize(clocksync::estimate_bounds(samples, kRef, kTgt));
   }
   state.SetItemsProcessed(state.iterations() * 2 * n);
 }
@@ -231,7 +235,9 @@ void BM_ContextElectionExperiment(benchmark::State& state) {
 }
 BENCHMARK(BM_ContextElectionExperiment)->Unit(benchmark::kMillisecond);
 
-void BM_AnalyzeExperiment(benchmark::State& state) {
+/// The params of one Ch. 5 election experiment on three hosts — what the
+/// analysis and cache-key benchmarks below feed on.
+runtime::ExperimentParams election_bench_params() {
   apps::ElectionParams app;
   app.run_for = milliseconds(400);
   auto params = apps::election_experiment(
@@ -239,7 +245,11 @@ void BM_AnalyzeExperiment(benchmark::State& state) {
       {{"black", "hostA"}, {"yellow", "hostB"}, {"green", "hostC"}}, app);
   params.nodes[0].fault_spec =
       spec::parse_fault_spec("bfault1 (black:LEAD) always\n", "bm");
-  const auto result = runtime::run_experiment(params);
+  return params;
+}
+
+void BM_AnalyzeExperiment(benchmark::State& state) {
+  const auto result = runtime::run_experiment(election_bench_params());
   for (auto _ : state) {
     benchmark::DoNotOptimize(analysis::analyze_experiment(result));
   }
@@ -247,6 +257,31 @@ void BM_AnalyzeExperiment(benchmark::State& state) {
                  std::to_string(result.timeline_of("black").records.size()));
 }
 BENCHMARK(BM_AnalyzeExperiment)->Unit(benchmark::kMicrosecond);
+
+// The clock-bound step of the coordinator's per-result analysis: every
+// host's convex-hull bounds against the reference, from one real result's
+// sync samples.
+void BM_ComputeAlphabeta(benchmark::State& state) {
+  const auto result = runtime::run_experiment(election_bench_params());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(clocksync::compute_alphabeta(
+        result.sync_samples, result.hosts, result.hosts.front()));
+  }
+  state.SetLabel(std::to_string(result.sync_samples.size()) + " samples");
+}
+BENCHMARK(BM_ComputeAlphabeta)->Unit(benchmark::kMicrosecond);
+
+// The content key every cached experiment is looked up by: encode the
+// params, SHA-256 the bytes.
+void BM_CacheKey(benchmark::State& state) {
+  const runtime::ExperimentParams params = election_bench_params();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(runtime::experiment_cache_key(params));
+  }
+  state.SetLabel(std::to_string(runtime::encode_experiment_params(params).size()) +
+                 " B params");
+}
+BENCHMARK(BM_CacheKey)->Unit(benchmark::kMicrosecond);
 
 // Campaign orchestration end to end: the same small election study through
 // the facade with 1, 2, and 4 workers (byte-identical results; wall clock

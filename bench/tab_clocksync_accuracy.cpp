@@ -46,7 +46,8 @@ Row run_config(double base_us, int messages, std::uint64_t seed) {
   world.run_until(world.now() + seconds(10));  // experiment gap
   clocksync::run_sync_phase(world, hosts, sp, samples);
 
-  const auto bounds = clocksync::estimate_bounds(samples, "ref", "tgt");
+  // Sample ids are positions in `hosts`: 0 = ref, 1 = tgt.
+  const auto bounds = clocksync::estimate_bounds(samples, 0, 1);
 
   Row row{base_us, messages, 0.0, 0.0, false};
   if (!bounds.valid) return row;

@@ -79,7 +79,7 @@ int main() {
       write_file(prefix + "." + tl.nickname + ".timeline",
                  serialize_local_timeline(tl));
     write_file(prefix + ".timestamps",
-               clocksync::serialize_timestamps(r.sync_samples));
+               clocksync::serialize_timestamps(r.sync_samples, r.hosts));
 
     const analysis::ExperimentAnalysis a = analysis::analyze_experiment(r);
     write_file(prefix + ".alphabeta",

@@ -1,7 +1,7 @@
 #include "campaign/cache.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -61,12 +61,10 @@ std::filesystem::path ResultCache::path_of(const std::string& key) const {
 void ResultCache::load_index() {
   index_.clear();
   total_bytes_ = 0;
-  std::ifstream in(dir_ / kIndexFile, std::ios::binary);
-  if (in) {
-    std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                    std::istreambuf_iterator<char>());
+  if (const std::optional<std::vector<std::uint8_t>> bytes =
+          util::read_file_bytes(dir_ / kIndexFile)) {
     try {
-      codec::Reader r(bytes);
+      codec::Reader r(*bytes);
       for (const char c : kIndexMagic)
         if (r.u8() != static_cast<std::uint8_t>(c))
           throw codec::DecodeError("bad index magic");
@@ -202,23 +200,18 @@ std::optional<runtime::ExperimentResult> ResultCache::lookup(
     ++stats_.misses;
   };
   const std::filesystem::path path = path_of(key);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    miss();
-    return std::nullopt;
-  }
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
+  const std::optional<std::vector<std::uint8_t>> bytes =
+      util::read_file_bytes(path);
+  if (!bytes) {
     miss();
     return std::nullopt;
   }
   try {
-    runtime::ExperimentResult result = runtime::decode_experiment_result(bytes);
+    runtime::ExperimentResult result = runtime::decode_experiment_result(*bytes);
     {
       util::MutexLock lock(mu_);
       ++stats_.hits;
-      touch(key, static_cast<std::uint64_t>(bytes.size()));
+      touch(key, static_cast<std::uint64_t>(bytes->size()));
     }
     return result;
   } catch (const codec::DecodeError&) {

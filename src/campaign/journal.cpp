@@ -2,13 +2,14 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
+#include <optional>
 #include <utility>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "runtime/serialize.hpp"
+#include "util/atomic_file.hpp"
 #include "util/codec.hpp"
 #include "util/digest.hpp"
 #include "util/error.hpp"
@@ -28,15 +29,11 @@ int open_journal(const std::filesystem::path& path, int flags) {
 /// Whole-file read for load(). The journal is small — a few dozen bytes per
 /// experiment — and parsed once per resume.
 std::vector<std::uint8_t> read_all(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw ConfigError("campaign journal: cannot read '" + path.string() + "'");
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(in)),
-                                  std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof())
-    throw ConfigError("campaign journal: read of '" + path.string() +
-                      "' failed");
-  return bytes;
+  std::optional<std::vector<std::uint8_t>> bytes = util::read_file_bytes(path);
+  if (!bytes)
+    throw ConfigError("campaign journal: cannot read '" + path.string() +
+                      "': " + std::strerror(errno));
+  return std::move(*bytes);
 }
 
 [[noreturn]] void malformed(const std::filesystem::path& path,

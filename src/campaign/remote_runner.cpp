@@ -493,10 +493,16 @@ class Engine {
     // nothing left to requeue, yet it must still be killed, or it would
     // stay "busy" forever and silently shrink the fleet (or hang a
     // single-worker campaign outright).
-    if (!ws.handshaken || !ws.idle)
-      lose_worker(w, "no frame within " +
-                         std::to_string(options_.hang_timeout.count()) +
-                         "ms — presumed hung");
+    if (ws.handshaken && ws.idle) return;
+    // The reader's silent window may have opened while this worker sat
+    // idle: a lease sent less than hang_timeout ago has not been silent
+    // for hang_timeout yet, and the reader's next recv keeps watching it.
+    if (ws.handshaken && std::chrono::steady_clock::now() - ws.lease_sent <
+                             options_.hang_timeout)
+      return;
+    lose_worker(w, "no frame within " +
+                       std::to_string(options_.hang_timeout.count()) +
+                       "ms — presumed hung");
   }
 
   void lose_worker(int w, const std::string& reason) {

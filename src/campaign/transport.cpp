@@ -374,6 +374,93 @@ struct FakeWorker {
   ~FakeWorker() { stop_and_join(); }
 };
 
+/// FakeTransport's first-lease barrier (see transport.hpp). A round is the
+/// fleet connect()ed for one study; it opens once every member was sent a
+/// lease or is gone, or once every index of the study was leased (a fleet
+/// larger than the work can never all lease). Opening wakes every member's
+/// parent-side recv. Lock order: a FakeWorker's mu before the barrier's;
+/// the barrier never takes a worker's mu while holding its own.
+class FirstLeaseBarrier {
+ public:
+  bool open() const { return open_.load(); }
+
+  /// A worker connected for a study. A join that finds the barrier open
+  /// starts the next study's round.
+  void join(const std::shared_ptr<FakeWorker>& w, int experiments)
+      LOKI_EXCLUDES(mu_) {
+    util::MutexLock lock(mu_);
+    if (open_.load()) {
+      pending_.clear();
+      members_.clear();
+      leased_.assign(static_cast<std::size_t>(std::max(experiments, 0)), false);
+      unleased_ = leased_.size();
+      open_.store(unleased_ == 0);
+    }
+    if (open_.load()) return;
+    pending_.push_back(w.get());
+    members_.push_back(w);
+  }
+
+  /// `w` was sent `lease`.
+  void leased(const FakeWorker* w, const runtime::LeaseFrame& lease)
+      LOKI_EXCLUDES(mu_) {
+    std::vector<std::shared_ptr<FakeWorker>> wake;
+    {
+      util::MutexLock lock(mu_);
+      if (open_.load()) return;
+      std::erase(pending_, w);
+      const std::uint32_t step = std::max<std::uint32_t>(lease.step, 1);
+      for (std::uint32_t k = lease.lo; k < lease.hi && k < leased_.size();
+           k += step)
+        if (!leased_[k]) {
+          leased_[k] = true;
+          --unleased_;
+        }
+      wake = open_if_done();
+    }
+    wake_all(wake);
+  }
+
+  /// `w` is gone: its link was killed or destroyed.
+  void gone(const FakeWorker* w) LOKI_EXCLUDES(mu_) {
+    std::vector<std::shared_ptr<FakeWorker>> wake;
+    {
+      util::MutexLock lock(mu_);
+      if (open_.load()) return;
+      std::erase(pending_, w);
+      wake = open_if_done();
+    }
+    wake_all(wake);
+  }
+
+ private:
+  std::vector<std::shared_ptr<FakeWorker>> open_if_done() LOKI_REQUIRES(mu_) {
+    if (!pending_.empty() && unleased_ > 0) return {};
+    open_.store(true);
+    std::vector<std::shared_ptr<FakeWorker>> wake;
+    for (const std::weak_ptr<FakeWorker>& m : members_)
+      if (std::shared_ptr<FakeWorker> w = m.lock()) wake.push_back(std::move(w));
+    members_.clear();
+    return wake;
+  }
+
+  /// Taking each worker's mu before notifying closes the window between a
+  /// recv's open() check and its wait.
+  static void wake_all(const std::vector<std::shared_ptr<FakeWorker>>& workers) {
+    for (const std::shared_ptr<FakeWorker>& w : workers) {
+      { util::MutexLock lock(w->mu); }
+      w->cv.notify_all();
+    }
+  }
+
+  std::atomic<bool> open_{true};
+  util::Mutex mu_;
+  std::vector<const FakeWorker*> pending_ LOKI_GUARDED_BY(mu_);
+  std::vector<std::weak_ptr<FakeWorker>> members_ LOKI_GUARDED_BY(mu_);
+  std::vector<bool> leased_ LOKI_GUARDED_BY(mu_);  // per study index
+  std::size_t unleased_ LOKI_GUARDED_BY(mu_){0};
+};
+
 }  // namespace detail
 
 namespace {
@@ -409,10 +496,21 @@ class WorkerQueueChannel final : public FrameChannel {
   std::shared_ptr<FakeWorker> w_;
 };
 
+/// Frames the first-lease barrier holds in transit: the ones that return
+/// a worker to idle or deliver work.
+bool held_at_barrier(const std::vector<std::uint8_t>& frame) {
+  if (frame.empty()) return false;
+  const auto type = static_cast<runtime::WorkerFrame>(frame[0]);
+  return type == runtime::WorkerFrame::Result ||
+         type == runtime::WorkerFrame::ResultBatch ||
+         type == runtime::WorkerFrame::LeaseDone;
+}
+
 class FakeLink final : public WorkerLink {
  public:
-  FakeLink(std::shared_ptr<FakeWorker> w, int index)
-      : w_(std::move(w)), index_(index) {}
+  FakeLink(std::shared_ptr<FakeWorker> w, int index,
+           std::shared_ptr<detail::FirstLeaseBarrier> barrier)
+      : w_(std::move(w)), index_(index), barrier_(std::move(barrier)) {}
 
   ~FakeLink() override {
     // Closing the link closes the worker's stdin: it exits at next read.
@@ -421,6 +519,7 @@ class FakeLink final : public WorkerLink {
       w_->parent_closed = true;
     }
     w_->cv.notify_all();
+    barrier_->gone(w_.get());
   }
 
   void send(const std::vector<std::uint8_t>& frame) override {
@@ -432,6 +531,9 @@ class FakeLink final : public WorkerLink {
       w_->to_worker.push_back(frame);
     }
     w_->cv.notify_all();
+    if (!frame.empty() &&
+        frame[0] == static_cast<std::uint8_t>(runtime::WorkerFrame::Lease))
+      barrier_->leased(w_.get(), runtime::decode_lease_frame(frame));
   }
 
   RecvOutcome recv(std::chrono::milliseconds timeout) override {
@@ -451,7 +553,8 @@ class FakeLink final : public WorkerLink {
         w_->cv.notify_all();
         return {RecvOutcome::Status::Eof, {}};
       }
-      if (!w_->hanging && !w_->to_parent.empty()) {
+      if (!w_->hanging && !w_->to_parent.empty() &&
+          (barrier_->open() || !held_at_barrier(w_->to_parent.front()))) {
         std::vector<std::uint8_t> frame = std::move(w_->to_parent.front());
         w_->to_parent.pop_front();
         // Heartbeat scripting: a worker whose heartbeats vanish (or crawl)
@@ -521,6 +624,7 @@ class FakeLink final : public WorkerLink {
       w_->parent_closed = true;
     }
     w_->cv.notify_all();
+    barrier_->gone(w_.get());
   }
 
   std::string describe() const override {
@@ -530,12 +634,14 @@ class FakeLink final : public WorkerLink {
  private:
   std::shared_ptr<FakeWorker> w_;
   int index_;
+  std::shared_ptr<detail::FirstLeaseBarrier> barrier_;
 };
 
 }  // namespace
 
 FakeTransport::FakeTransport(int workers)
     : workers_(workers),
+      barrier_(std::make_shared<detail::FirstLeaseBarrier>()),
       faults_(static_cast<std::size_t>(workers)),
       refuse_(static_cast<std::size_t>(workers), 0),
       live_(static_cast<std::size_t>(workers)) {
@@ -556,7 +662,13 @@ std::string FakeTransport::name() const {
 }
 
 std::unique_ptr<WorkerLink> FakeTransport::connect(
-    int index, const runtime::StudyParams&) {
+    int index, const runtime::StudyParams& study) {
+  std::shared_ptr<FakeWorker> worker = spawn(index);
+  barrier_->join(worker, study.experiments);
+  return std::make_unique<FakeLink>(std::move(worker), index, barrier_);
+}
+
+std::shared_ptr<FakeWorker> FakeTransport::spawn(int index) {
   if (index < 0 || index >= workers_)
     throw ConfigError("FakeTransport: worker index " + std::to_string(index) +
                       " out of range");
@@ -579,11 +691,11 @@ std::unique_ptr<WorkerLink> FakeTransport::connect(
     worker->cv.notify_all();
   });
   live_[static_cast<std::size_t>(index)] = worker;
-  return std::make_unique<FakeLink>(worker, index);
+  return worker;
 }
 
 std::unique_ptr<WorkerLink> FakeTransport::reopen(
-    int index, const runtime::StudyParams& study) {
+    int index, const runtime::StudyParams&) {
   fault_slot(index);  // range check with the standard message
   if (int& left = refuse_[static_cast<std::size_t>(index)]; left > 0) {
     --left;
@@ -593,7 +705,7 @@ std::unique_ptr<WorkerLink> FakeTransport::reopen(
   // The scripted fault belonged to the process that died; its replacement
   // spawns fault-free, so a flap test converges instead of re-tripping.
   faults_[static_cast<std::size_t>(index)] = detail::FakeFaults{};
-  return connect(index, study);
+  return std::make_unique<FakeLink>(spawn(index), index, barrier_);
 }
 
 void FakeTransport::refuse_reconnects(int worker, int n) {

@@ -168,6 +168,7 @@ class QueueFrameChannel final : public FrameChannel {
 namespace detail {
 struct FdRegistry;  // open parent-side fds, closed inside fork()ed children
 struct FakeWorker;
+class FirstLeaseBarrier;
 
 /// Scripted fault plan for one FakeTransport worker. The *_after thresholds
 /// count delivered result *entries* (experiments); the *_nth counters are
@@ -260,6 +261,16 @@ class SshTransport final : public Transport {
 /// to one result per batch (batch_soft_bytes = 1), so entry counts and
 /// frame counts coincide unless a test raises the batch bound via
 /// set_batch_soft_bytes to exercise multi-result batches.
+///
+/// Deterministic schedule: under dynamic leasing a fast worker could drain
+/// a small study before a peer ever handshakes, so "worker w's Nth frame"
+/// might never exist. The workers connect()ed for a study therefore pass a
+/// first-lease barrier: every worker's Result, ResultBatch and LeaseDone
+/// frames wait in transit until each of them has been sent its first
+/// lease (or is gone, or every index of the study has been leased). No
+/// worker returns to idle before then, so the runner's first round of
+/// leases reaches the whole fleet — a scripted victim included — whatever
+/// the thread scheduling. Workers respawned by reopen() do not join it.
 class FakeTransport final : public Transport {
  public:
   explicit FakeTransport(int workers);
@@ -314,9 +325,11 @@ class FakeTransport final : public Transport {
 
  private:
   detail::FakeFaults& fault_slot(int worker);
+  std::shared_ptr<detail::FakeWorker> spawn(int index);
 
   int workers_;
   std::size_t batch_soft_bytes_{1};
+  std::shared_ptr<detail::FirstLeaseBarrier> barrier_;
   std::vector<detail::FakeFaults> faults_;
   std::vector<int> refuse_;
   std::vector<std::shared_ptr<detail::FakeWorker>> live_;

@@ -16,15 +16,17 @@
 // confidence interval, the bounds are certain (§2.5). We compute
 // [alpha-, alpha+] x [beta-, beta+] as the polygon's bounding box by
 // enumerating candidate vertices (pairs of active constraints plus the
-// sanity box) and maximizing/minimizing each coordinate. Sample counts per
-// experiment are tens to hundreds, so the O(n^3) enumeration is cheap.
+// sanity box) and maximizing/minimizing each coordinate. Only the convex
+// hull points bind, so the enumeration runs over a handful of constraints
+// even for hundreds of samples.
 //
 // A sanity box |alpha| <= 100s, beta in [0.5, 2] keeps the polygon bounded
 // when samples are one-sided or degenerate; `pinned_*` flags report when a
 // bound came from the box rather than the data.
 #pragma once
 
-#include <string>
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "clocksync/sync_data.hpp"
@@ -50,10 +52,18 @@ struct ClockBounds {
 /// Identity bounds for the reference machine itself.
 ClockBounds identity_bounds();
 
-/// Estimate bounds for `target` against `reference` from the samples that
-/// involve exactly this pair (both directions). Returns valid=false when
-/// there are no such samples or they are inconsistent.
-ClockBounds estimate_bounds(const SyncData& samples, const std::string& reference,
-                            const std::string& target);
+/// Estimate bounds for `target` against `reference` (host-table ids, see
+/// sync_data.hpp) from the samples that involve exactly this pair (both
+/// directions). Returns valid=false when there are no such samples or they
+/// are inconsistent.
+ClockBounds estimate_bounds(const SyncData& samples, std::uint32_t reference,
+                            std::uint32_t target);
+
+/// estimate_bounds for every host id below `hosts` in one pass over the
+/// samples: element t equals estimate_bounds(samples, reference, t), bit
+/// for bit. Samples naming ids at or past `hosts` are ignored.
+std::vector<ClockBounds> estimate_all_bounds(const SyncData& samples,
+                                             std::uint32_t reference,
+                                             std::size_t hosts);
 
 }  // namespace loki::clocksync

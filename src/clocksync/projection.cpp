@@ -79,9 +79,18 @@ AlphaBetaFile compute_alphabeta(const SyncData& samples,
                                 const std::string& reference) {
   AlphaBetaFile file;
   file.reference = reference;
-  for (const std::string& m : machines) {
-    file.bounds.emplace(m, estimate_bounds(samples, reference, m));
+  const auto ref = std::find(machines.begin(), machines.end(), reference);
+  if (ref == machines.end()) {
+    // No sample can involve a reference outside the table: nothing is
+    // bounded against it.
+    for (const std::string& m : machines) file.bounds.emplace(m, ClockBounds{});
+    return file;
   }
+  const std::vector<ClockBounds> bounds = estimate_all_bounds(
+      samples, static_cast<std::uint32_t>(ref - machines.begin()),
+      machines.size());
+  for (std::size_t i = 0; i < machines.size(); ++i)
+    file.bounds.emplace(machines[i], bounds[i]);
   return file;
 }
 

@@ -45,8 +45,9 @@ struct AlphaBetaFile {
 std::string serialize_alphabeta(const AlphaBetaFile& file);
 AlphaBetaFile parse_alphabeta(const std::string& content, const std::string& source);
 
-/// Compute the alphabeta file from timestamps for the given machines.
-/// Machines without valid bounds are recorded with valid=false.
+/// Compute the alphabeta file from timestamps for the given machines, the
+/// host table the samples' ids index. Machines without valid bounds are
+/// recorded with valid=false.
 AlphaBetaFile compute_alphabeta(const SyncData& samples,
                                 const std::vector<std::string>& machines,
                                 const std::string& reference);

@@ -26,6 +26,8 @@ struct PairChain {
   sim::ProcessId to;
   sim::HostId from_host;
   sim::HostId to_host;
+  std::uint32_t from_id;  // positions in run_sync_phase's `hosts`
+  std::uint32_t to_id;
   SimTime first_fire;
   int sent{0};
 };
@@ -43,9 +45,7 @@ void fire_message(PairChain* pair) {
                        const LocalTime recv_stamp =
                            ctx->world->clock_read(pair->to_host);
                        ctx->out->push_back(SyncSample{
-                           ctx->world->host_name(pair->from_host),
-                           ctx->world->host_name(pair->to_host), send_stamp,
-                           recv_stamp});
+                           pair->from_id, pair->to_id, send_stamp, recv_stamp});
                        --ctx->remaining;
                      });
   });
@@ -86,7 +86,9 @@ SimTime run_sync_phase(sim::World& world, const std::vector<sim::HostId>& hosts,
       const Duration stagger =
           microseconds(137) * static_cast<std::int64_t>(pair_index++);
       pairs.push_back(PairChain{&ctx, stampers[a], stampers[b], hosts[a],
-                                hosts[b], phase_start + stagger, 0});
+                                hosts[b], static_cast<std::uint32_t>(a),
+                                static_cast<std::uint32_t>(b),
+                                phase_start + stagger, 0});
       ctx.remaining += params.messages_per_pair;
     }
   }

@@ -23,8 +23,9 @@ struct SyncPhaseParams {
 };
 
 /// Run one mini-phase over all ordered pairs of `hosts`, appending samples
-/// to `out`. Runs the world until the phase completes; returns the physical
-/// time at completion.
+/// to `out`. Sample ids are positions in `hosts`, so an experiment passing
+/// its hosts in host-table order gets table indices. Runs the world until
+/// the phase completes; returns the physical time at completion.
 SimTime run_sync_phase(sim::World& world, const std::vector<sim::HostId>& hosts,
                        const SyncPhaseParams& params, SyncData& out);
 

@@ -1,6 +1,8 @@
 #include "runtime/serialize.hpp"
 
+#include <algorithm>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "runtime/app_registry.hpp"
@@ -396,9 +398,17 @@ void put_result_body(Writer& w, const ExperimentResult& res) {
     put_vec(w, messages, [&](const std::string& m) { w.str(m); });
   }
 
+  // Samples carry host-table ids in memory but names on the wire.
+  const auto host_name = [&res](std::uint32_t id) -> const std::string& {
+    if (id >= res.hosts.size())
+      throw LogicError("wire: sync sample host id " + std::to_string(id) +
+                       " outside the " + std::to_string(res.hosts.size()) +
+                       "-host table");
+    return res.hosts[id];
+  };
   put_vec(w, res.sync_samples, [&](const clocksync::SyncSample& s) {
-    w.str(s.from);
-    w.str(s.to);
+    w.str(host_name(s.from));
+    w.str(host_name(s.to));
     w.i64(s.send.ns);
     w.i64(s.recv.ns);
   });
@@ -448,15 +458,23 @@ ExperimentResult get_result_body(Reader& r, ResultInterner* interner) {
     res.user_messages.push_back(get_string_vec(r));
   }
 
+  // The samples precede the host table on the wire, so their names get
+  // provisional ids in order of first appearance (views into the frame, a
+  // few distinct names per result), remapped to table indices below.
+  std::vector<std::string_view> sample_names;
+  const auto provisional_id = [&](std::string_view name) {
+    for (std::size_t k = 0; k < sample_names.size(); ++k)
+      if (sample_names[k] == name) return static_cast<std::uint32_t>(k);
+    sample_names.push_back(name);
+    return static_cast<std::uint32_t>(sample_names.size() - 1);
+  };
   const std::uint64_t n_samples = get_count(r);
-  res.sync_samples.reserve(n_samples);
-  for (std::uint64_t i = 0; i < n_samples; ++i) {
-    clocksync::SyncSample s;
-    s.from = r.str();
-    s.to = r.str();
+  res.sync_samples.resize(n_samples);
+  for (clocksync::SyncSample& s : res.sync_samples) {
+    s.from = provisional_id(r.str_view());
+    s.to = provisional_id(r.str_view());
     s.send = LocalTime{r.i64()};
     s.recv = LocalTime{r.i64()};
-    res.sync_samples.push_back(std::move(s));
   }
 
   const std::uint64_t n_hosts = get_count(r);
@@ -469,6 +487,21 @@ ExperimentResult get_result_body(Reader& r, ResultInterner* interner) {
     res.start_local.push_back(LocalTime{r.i64()});
     res.end_local.push_back(LocalTime{r.i64()});
     res.true_clocks.push_back(get_clock(r));
+  }
+
+  std::vector<std::uint32_t> table_id(sample_names.size());
+  for (std::size_t k = 0; k < sample_names.size(); ++k) {
+    const auto it =
+        std::find(res.hosts.begin(), res.hosts.end(), sample_names[k]);
+    if (it == res.hosts.end())
+      throw DecodeError("wire: sync sample names host '" +
+                        std::string(sample_names[k]) +
+                        "', which is missing from the host table");
+    table_id[k] = static_cast<std::uint32_t>(it - res.hosts.begin());
+  }
+  for (clocksync::SyncSample& s : res.sync_samples) {
+    s.from = table_id[s.from];
+    s.to = table_id[s.to];
   }
 
   const std::uint64_t n_machines = get_count(r);

@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 namespace loki::util {
@@ -78,6 +79,41 @@ void atomic_write_file(const std::filesystem::path& path, const void* data,
 void rename_path(const std::filesystem::path& from,
                  const std::filesystem::path& to) {
   if (::rename(from.c_str(), to.c_str()) != 0) fail("rename", to, errno);
+}
+
+std::optional<std::vector<std::uint8_t>> read_file_bytes(
+    const std::filesystem::path& path) {
+  int fd;
+  do {
+    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
+  if (fd < 0) return std::nullopt;
+  const auto give_up = [fd] {
+    const int err = errno;
+    ::close(fd);
+    errno = err;
+    return std::nullopt;
+  };
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) return give_up();
+  // One spare byte past the stat size: a read that fills it means the file
+  // grew, and the loop below keeps going instead of truncating.
+  std::vector<std::uint8_t> bytes(
+      static_cast<std::size_t>(st.st_size > 0 ? st.st_size : 0) + 1);
+  std::size_t used = 0;
+  for (;;) {
+    if (used == bytes.size()) bytes.resize(bytes.size() * 2);
+    const ssize_t n = ::read(fd, bytes.data() + used, bytes.size() - used);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return give_up();
+    }
+    if (n == 0) break;
+    used += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  bytes.resize(used);
+  return bytes;
 }
 
 }  // namespace loki::util

@@ -1,6 +1,7 @@
 // Durable, atomic file publication — the blessed write path for anything
 // that must survive a crash (campaign/cache.hpp entries, the campaign
-// journal's sibling files, ...).
+// journal's sibling files, ...) — and its read-side counterpart, the
+// one-pass whole-file read those same stores are loaded with.
 //
 // atomic_write_file() follows the classic crash-safe recipe:
 //
@@ -21,9 +22,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace loki::util {
 
@@ -50,5 +54,12 @@ void atomic_write_file(const std::filesystem::path& path, const void* data,
 /// already on disk and only the name changes. Throws WriteError.
 void rename_path(const std::filesystem::path& from,
                  const std::filesystem::path& to);
+
+/// Whole-file read in one pass: open, fstat for the size, then read(2)
+/// into a buffer of that size until EOF (EINTR retried; a file that grew
+/// since the fstat is still read to its end). nullopt when the file cannot
+/// be opened or read, with errno left as the failing call set it.
+std::optional<std::vector<std::uint8_t>> read_file_bytes(
+    const std::filesystem::path& path);
 
 }  // namespace loki::util

@@ -103,11 +103,15 @@ class Reader {
     if (v > 1) throw DecodeError("codec: boolean byte out of range");
     return v == 1;
   }
-  std::string str() {
+  std::string str() { return std::string(str_view()); }
+
+  /// A length-prefixed string as a view into the buffer: no allocation,
+  /// valid as long as the buffer is.
+  std::string_view str_view() {
     const std::uint64_t n = u64();
     require(n);
-    std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                  static_cast<std::size_t>(n));
+    const std::string_view s(reinterpret_cast<const char*>(data_ + pos_),
+                             static_cast<std::size_t>(n));
     pos_ += static_cast<std::size_t>(n);
     return s;
   }

@@ -3,6 +3,13 @@
 #include <algorithm>
 #include <cstring>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
+
+#include "util/error.hpp"
+
 namespace loki::util {
 
 namespace {
@@ -24,83 +31,189 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
-}  // namespace
+void compress_portable(std::uint32_t state[8], const std::uint8_t* data,
+                       std::size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i)
+      w[i] = (std::uint32_t(data[4 * i]) << 24) |
+             (std::uint32_t(data[4 * i + 1]) << 16) |
+             (std::uint32_t(data[4 * i + 2]) << 8) |
+             std::uint32_t(data[4 * i + 3]);
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
 
-Sha256::Sha256()
-    : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
-             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
-
-void Sha256::compress(const std::uint8_t block[64]) {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i)
-    w[i] = (std::uint32_t(block[4 * i]) << 24) |
-           (std::uint32_t(block[4 * i + 1]) << 16) |
-           (std::uint32_t(block[4 * i + 2]) << 8) |
-           std::uint32_t(block[4 * i + 3]);
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t t1 = h + s1 + ch + kRoundConstants[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t t2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
   }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t t1 = h + s1 + ch + kRoundConstants[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+#define LOKI_HAVE_SHA_NI 1
+
+/// The SHA-NI kernel. sha256rnds2 runs two rounds on the state split as
+/// (A,B,E,F) / (C,D,G,H); sha256msg1/msg2 extend the message schedule four
+/// words at a time. Each of the 16 steps below is four rounds: W holds the
+/// last four schedule quads, rotating, so step i reads W[i % 4].
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t state[8], const std::uint8_t* data, std::size_t blocks) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  // state[] is A..H; the instructions want ABEF and CDGH.
+  __m128i tmp = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[0])), 0xB1);
+  __m128i cdgh = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(&state[4])), 0x1B);
+  __m128i abef = _mm_alignr_epi8(tmp, cdgh, 8);
+  cdgh = _mm_blend_epi16(cdgh, tmp, 0xF0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int i = 0; i < 16; ++i) {
+      if (i < 4)
+        w[i] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + 16 * i)),
+            byte_swap);
+      __m128i msg = _mm_add_epi32(
+          w[i % 4], _mm_loadu_si128(reinterpret_cast<const __m128i*>(
+                        &kRoundConstants[4 * i])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, msg);
+      if (i >= 3 && i < 15) {
+        // Quad i+1 = msg2(msg1-part + W[i-3..i] shifted by one word, W[i]).
+        const __m128i shifted = _mm_alignr_epi8(w[i % 4], w[(i + 3) % 4], 4);
+        w[(i + 1) % 4] = _mm_sha256msg2_epu32(
+            _mm_add_epi32(w[(i + 1) % 4], shifted), w[i % 4]);
+      }
+      msg = _mm_shuffle_epi32(msg, 0x0E);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, msg);
+      if (i >= 1 && i < 13)
+        w[(i + 3) % 4] = _mm_sha256msg1_epu32(w[(i + 3) % 4], w[i % 4]);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  tmp = _mm_shuffle_epi32(abef, 0x1B);   // FEBA
+  cdgh = _mm_shuffle_epi32(cdgh, 0xB1);  // DCHG
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[0]),
+                   _mm_blend_epi16(tmp, cdgh, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]),
+                   _mm_alignr_epi8(cdgh, tmp, 8));  // HGFE
+}
+
+bool cpu_has_sha_ni() {
+  unsigned a = 0, b = 0, c = 0, d = 0;
+  if (__get_cpuid(1, &a, &b, &c, &d) == 0 || (c & bit_SSE4_1) == 0)
+    return false;
+  if (__get_cpuid_count(7, 0, &a, &b, &c, &d) == 0) return false;
+  return (b & (1u << 29)) != 0;  // CPUID.(EAX=7,ECX=0):EBX.SHA[bit 29]
+}
+#endif
+
+bool sha_ni_available() {
+#ifdef LOKI_HAVE_SHA_NI
+  static const bool available = cpu_has_sha_ni();
+  return available;
+#else
+  return false;
+#endif
+}
+
+Sha256::CompressFn kernel_fn(Sha256Kernel kernel) {
+  if (!sha256_kernel_available(kernel))
+    throw LogicError("sha256: kernel not supported by this CPU");
+#ifdef LOKI_HAVE_SHA_NI
+  if (kernel == Sha256Kernel::ShaNi) return compress_sha_ni;
+#endif
+  return compress_portable;
+}
+
+}  // namespace
+
+bool sha256_kernel_available(Sha256Kernel kernel) {
+  return kernel == Sha256Kernel::Portable || sha_ni_available();
+}
+
+Sha256::Sha256()
+    : Sha256(sha_ni_available() ? Sha256Kernel::ShaNi : Sha256Kernel::Portable) {}
+
+Sha256::Sha256(Sha256Kernel kernel)
+    : compress_(kernel_fn(kernel)),
+      state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f,
+             0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
+
 void Sha256::update(const void* data, std::size_t len) {
+  if (len == 0) return;  // `data` may be null (an empty vector's data())
   const auto* p = static_cast<const std::uint8_t*>(data);
   total_len_ += len;
-  while (len > 0) {
+  if (buffer_len_ > 0) {
     const std::size_t take = std::min(len, buffer_.size() - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, p, take);
     buffer_len_ += take;
     p += take;
     len -= take;
-    if (buffer_len_ == buffer_.size()) {
-      compress(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < buffer_.size()) return;
+    compress_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
+  // Whole blocks straight from the input, without staging in buffer_.
+  const std::size_t blocks = len / 64;
+  if (blocks > 0) {
+    compress_(state_.data(), p, blocks);
+    p += blocks * 64;
+    len -= blocks * 64;
+  }
+  std::memcpy(buffer_.data(), p, len);
+  buffer_len_ = len;
 }
 
 std::array<std::uint8_t, 32> Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0;
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
+  // Padding: 0x80, zeros up to 56 mod 64, then the big-endian bit length —
+  // one block, or two when the tail leaves no room for the length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    compress_(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i)
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
-  // Bypass update()'s total_len_ bookkeeping for the trailer itself.
-  std::memcpy(buffer_.data() + 56, len_be, 8);
-  compress(buffer_.data());
+    buffer_[56 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(bit_len >> (8 * (7 - i)));
+  compress_(state_.data(), buffer_.data(), 1);
   buffer_len_ = 0;
 
   std::array<std::uint8_t, 32> digest;

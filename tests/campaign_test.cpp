@@ -217,8 +217,8 @@ void expect_identical(const ExperimentResult& a, const ExperimentResult& b) {
               runtime::serialize_local_timeline(*other))
         << tl.nickname;
   }
-  EXPECT_EQ(clocksync::serialize_timestamps(a.sync_samples),
-            clocksync::serialize_timestamps(b.sync_samples));
+  EXPECT_EQ(clocksync::serialize_timestamps(a.sync_samples, a.hosts),
+            clocksync::serialize_timestamps(b.sync_samples, b.hosts));
 
   // Ground truth: state sequences and injection instants.
   EXPECT_EQ(a.truth.state_seq, b.truth.state_seq);

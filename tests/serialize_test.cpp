@@ -8,6 +8,7 @@
 // hang, a crash, or a giant allocation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cmath>
@@ -136,10 +137,12 @@ ExperimentResult synthetic_result() {
   r.timelines.push_back(tl);
   r.user_messages.push_back({"injected bfault1", std::string(100'000, 'x')});
 
-  r.sync_samples.push_back({"hostA", "hostB", LocalTime{1}, LocalTime{2}});
   const std::size_t a = r.add_host("hostA");
   const std::size_t b = r.add_host("hostB");
   const std::size_t c = r.add_host("hostC");
+  r.sync_samples.push_back({static_cast<std::uint32_t>(a),
+                            static_cast<std::uint32_t>(b), LocalTime{1},
+                            LocalTime{2}});
   r.start_local[a] = LocalTime{10};
   r.end_local[a] = LocalTime{20};
   r.truth.state_seq_of("black") = {{SimTime{0}, "BEGIN"}, {SimTime{5}, "LEAD"}};
@@ -193,6 +196,50 @@ TEST(WireResult, RealExperimentRoundTrips) {
   EXPECT_EQ(bytes, runtime::encode_experiment_result(decoded));
   EXPECT_EQ(decoded.timelines.size(), r.timelines.size());
   EXPECT_EQ(decoded.sync_samples.size(), r.sync_samples.size());
+}
+
+// Sync samples hold host-table ids in memory and names on the wire; the
+// samples precede the host table, so the decoder resolves names late.
+
+TEST(WireResult, SyncSamplesInAnOrderUnlikeTheHostTableRoundTrip) {
+  ExperimentResult r;
+  for (const char* host : {"hostA", "hostB", "hostC"}) r.add_host(host);
+  // First appearance order C, A, B — not the table's A, B, C.
+  r.sync_samples = {{2, 0, LocalTime{5}, LocalTime{6}},
+                    {1, 2, LocalTime{7}, LocalTime{8}},
+                    {0, 1, LocalTime{9}, LocalTime{10}},
+                    {2, 2, LocalTime{11}, LocalTime{12}}};
+  const auto bytes = runtime::encode_experiment_result(r);
+  const ExperimentResult decoded = runtime::decode_experiment_result(bytes);
+  EXPECT_EQ(decoded.sync_samples, r.sync_samples);
+  EXPECT_EQ(runtime::encode_experiment_result(decoded), bytes);
+}
+
+TEST(WireResult, SyncSampleNamingAHostMissingFromTheTableIsRejected) {
+  ExperimentResult r;
+  r.add_host("hostA");
+  r.add_host("hostB");
+  r.sync_samples = {{0, 1, LocalTime{1}, LocalTime{2}}};
+  auto bytes = runtime::encode_experiment_result(r);
+  // Rename the host table's "hostB" (its last occurrence; the sample's
+  // comes first) to "hostX": the sample now names a host the table lacks.
+  const std::string name = "hostB";
+  const auto at = std::find_end(bytes.begin(), bytes.end(), name.begin(),
+                                name.end());
+  ASSERT_NE(at, bytes.end());
+  ASSERT_NE(std::search(bytes.begin(), bytes.end(), name.begin(), name.end()),
+            at)
+      << "the sample's name must precede the table's";
+  at[4] = 'X';
+  try {
+    runtime::decode_experiment_result(bytes);
+    FAIL() << "a sample naming an unknown host decoded";
+  } catch (const DecodeError& e) {
+    EXPECT_NE(std::string(e.what()).find("hostB"), std::string::npos) << e.what();
+  }
+  // The encoder refuses the in-memory form of the same mistake.
+  r.sync_samples = {{0, 2, LocalTime{1}, LocalTime{2}}};
+  EXPECT_THROW(runtime::encode_experiment_result(r), LogicError);
 }
 
 // --- golden wire fixtures ----------------------------------------------------

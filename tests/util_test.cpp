@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cmath>
 #include <set>
+#include <string>
 
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
@@ -172,6 +175,28 @@ TEST(TextFile, WriteReadRoundTrip) {
   const std::string path = testing::TempDir() + "/loki_rt.txt";
   write_file(path, "hello\nworld\n");
   EXPECT_EQ(read_file(path), "hello\nworld\n");
+}
+
+TEST(ReadFileBytes, WholeFileInOneCall) {
+  const std::string path = testing::TempDir() + "/loki_bytes.bin";
+  std::string payload(70'000, '\0');  // larger than one read buffer page
+  for (std::size_t i = 0; i < payload.size(); ++i)
+    payload[i] = static_cast<char>(i * 31);
+  util::atomic_write_file(path, payload.data(), payload.size());
+  const auto bytes = util::read_file_bytes(path);
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(std::string(bytes->begin(), bytes->end()), payload);
+
+  util::atomic_write_file(path, "", 0);
+  const auto empty = util::read_file_bytes(path);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_TRUE(empty->empty());
+}
+
+TEST(ReadFileBytes, MissingFileIsNulloptWithErrno) {
+  errno = 0;
+  EXPECT_FALSE(util::read_file_bytes("/nonexistent/loki/file").has_value());
+  EXPECT_EQ(errno, ENOENT);
 }
 
 TEST(Error, RequireThrowsLogicError) {

@@ -2,7 +2,8 @@
 //
 //   alphabeta <TimestampsFile> <MachinesFile> <AlphabetaFile> [<MHzFile>]
 //
-// The reference machine is the first entry of the machines file. The
+// The reference machine is the first entry of the machines file; every
+// host a timestamps line names must be listed there. The
 // optional MHz file records the reference clock rate (fixed 1000 here: the
 // simulated clocks are nanosecond-based).
 #include <cstdio>
@@ -20,13 +21,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   try {
-    const auto samples =
-        clocksync::parse_timestamps(read_file(argv[1]), argv[1]);
     const auto machines = spec::parse_machines_file(read_file(argv[2]), argv[2]);
     if (machines.empty()) {
       std::fprintf(stderr, "alphabeta: machines file is empty\n");
       return 1;
     }
+    const auto samples =
+        clocksync::parse_timestamps(read_file(argv[1]), argv[1], machines);
     const auto ab =
         clocksync::compute_alphabeta(samples, machines, machines.front());
     for (const auto& [host, bounds] : ab.bounds) {
