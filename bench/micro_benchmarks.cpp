@@ -2,12 +2,17 @@
 // fault-expression evaluation, the fault parser sweep per view change
 // (§3.5.5 — the thesis flags it as a future optimization target), recorder
 // appends, convex-hull bound computation, predicate evaluation, global
-// timeline construction, the per-result clock bounds and cache key, and one
-// full experiment as a macro-benchmark.
+// timeline construction, the per-result clock bounds and cache key, one
+// full experiment as a macro-benchmark, and a warm-cache study end to end.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "analysis/pipeline.hpp"
 #include "apps/election.hpp"
+#include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
 #include "clocksync/convex_hull.hpp"
 #include "clocksync/projection.hpp"
@@ -324,6 +329,57 @@ void BM_CampaignElection(benchmark::State& state) {
       static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_CampaignElection)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
+
+// A warm cache hit path end to end: a 200-experiment election study, every
+// index already cached, replayed through the Campaign facade into a
+// MeasureSink — probe, read-ahead, decode, analyse, measure.
+void BM_CacheWarmStudy(benchmark::State& state) {
+  constexpr int kExperiments = 200;
+  runtime::StudyParams study;
+  study.name = "warm";
+  study.experiments = kExperiments;
+  study.make_params = [](int k) {
+    auto p = election_bench_params();
+    p.seed = 9100 + static_cast<std::uint64_t>(k);
+    return p;
+  };
+  measure::StudyMeasure coverage;
+  coverage.add(measure::subset_default(),
+               measure::parse_predicate("(black, CRASH)"),
+               measure::obs_total_duration(true, measure::TimeArg::start_exp(),
+                                           measure::TimeArg::end_exp()));
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("loki-bm-cache-warm-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  {
+    auto cache = std::make_shared<campaign::ResultCache>(dir);
+    CampaignBuilder()
+        .add(study)
+        .runner(campaign::parse_runner_spec("threads:4"))
+        .cache(cache)
+        .build()
+        .run();
+  }
+  std::uint64_t experiments = 0;
+  for (auto _ : state) {
+    auto sink = std::make_shared<campaign::MeasureSink>();
+    sink->measure("warm", coverage);
+    Campaign campaign = CampaignBuilder()
+                            .add(study)
+                            .cache(std::make_shared<campaign::ResultCache>(dir))
+                            .sink(sink)
+                            .build();
+    const Campaign::Summary summary = campaign.run();
+    if (summary.cache_hits != kExperiments)
+      state.SkipWithError("cache-warm study was not all hits");
+    experiments += static_cast<std::uint64_t>(summary.experiments);
+  }
+  std::filesystem::remove_all(dir);
+  state.counters["experiments/sec"] = benchmark::Counter(
+      static_cast<double>(experiments), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_CacheWarmStudy)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

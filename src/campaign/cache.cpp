@@ -1,7 +1,10 @@
 #include "campaign/cache.hpp"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <optional>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -31,7 +34,9 @@ bool is_hex_key(const std::string& key) {
 }  // namespace
 
 ResultCache::ResultCache(std::filesystem::path dir, CacheOptions options)
-    : dir_(std::move(dir)), options_(options) {
+    : dir_(std::move(dir)),
+      dir_prefix_((dir_ / "").string()),
+      options_(options) {
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec)
@@ -49,14 +54,31 @@ ResultCache::~ResultCache() {
   }
 }
 
-std::filesystem::path ResultCache::path_of(const std::string& key) const {
+std::string ResultCache::entry_file(const std::string& key) const {
   if (!is_hex_key(key))
     throw ConfigError("ResultCache: malformed key '" + key +
                       "' (expected 64 hex chars)");
-  return dir_ / (key + ".result");
+  return dir_prefix_ + key + ".result";
 }
 
 // --- generation index --------------------------------------------------------
+
+std::vector<std::string> ResultCache::listed_keys() const {
+  constexpr std::string_view kSuffix = ".result";
+  std::vector<std::string> keys;
+  std::error_code ec;
+  std::filesystem::directory_iterator it(dir_, ec);
+  if (ec) return keys;  // unreadable dir: surface later, at the first store
+  for (const auto& dirent : it) {
+    const std::string name = dirent.path().filename().string();
+    if (name.size() != 64 + kSuffix.size() || !name.ends_with(kSuffix))
+      continue;
+    std::string key = name.substr(0, 64);
+    if (is_hex_key(key)) keys.push_back(std::move(key));
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
 
 void ResultCache::load_index() {
   index_.clear();
@@ -72,6 +94,10 @@ void ResultCache::load_index() {
         throw codec::DecodeError("unknown index version");
       std::uint64_t max_gen = r.u64();
       const std::uint64_t count = r.u64();
+      // The file, not the index, is the truth: an entry deleted behind the
+      // index's back (a shared dir, a manual prune) is dropped here. One
+      // directory listing answers that for every key.
+      const std::vector<std::string> on_disk = listed_keys();
       std::map<std::string, Entry> loaded;
       std::uint64_t total = 0;
       for (std::uint64_t i = 0; i < count; ++i) {
@@ -80,10 +106,7 @@ void ResultCache::load_index() {
         entry.bytes = r.u64();
         entry.generation = r.u64();
         if (!is_hex_key(key)) throw codec::DecodeError("bad index key");
-        // The file, not the index, is the truth: an entry deleted behind
-        // the index's back (a shared dir, a manual prune) is dropped here.
-        std::error_code ec;
-        if (!std::filesystem::exists(path_of(key), ec) || ec) continue;
+        if (!std::binary_search(on_disk.begin(), on_disk.end(), key)) continue;
         total += entry.bytes;
         max_gen = std::max(max_gen, entry.generation);
         loaded.insert_or_assign(key, entry);
@@ -106,16 +129,10 @@ void ResultCache::load_index() {
 void ResultCache::rebuild_index_from_disk() {
   index_.clear();
   total_bytes_ = 0;
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir_, ec);
-  if (ec) return;  // unreadable dir: surface later, at the first store
-  for (const auto& dirent : it) {
-    const std::filesystem::path& p = dirent.path();
-    if (p.extension() != ".result") continue;
-    const std::string key = p.stem().string();
-    if (!is_hex_key(key)) continue;
+  for (const std::string& key : listed_keys()) {
     std::error_code size_ec;
-    const std::uintmax_t bytes = std::filesystem::file_size(p, size_ec);
+    const std::uintmax_t bytes =
+        std::filesystem::file_size(entry_file(key), size_ec);
     if (size_ec) continue;
     Entry entry;
     entry.bytes = static_cast<std::uint64_t>(bytes);
@@ -172,73 +189,108 @@ void ResultCache::gc() {
         victim = it;
     if (victim == index_.end()) return;  // only the just-touched entry left
     std::error_code ec;
-    std::filesystem::remove(path_of(victim->first), ec);
+    std::filesystem::remove(entry_file(victim->first), ec);
     // A failed remove (EACCES on a shared dir?) still drops the entry from
     // the accounting: the next open's rescan re-adopts whatever survived.
     total_bytes_ -= victim->second.bytes;
     index_.erase(victim);
     ++stats_.evictions;
+    ++removals_;
   }
 }
 
 // --- the cache proper --------------------------------------------------------
 
+bool ResultCache::present(const std::string& key) const {
+  struct stat st {};
+  return ::stat(entry_file(key).c_str(), &st) == 0;
+}
+
+void ResultCache::count_miss() {
+  util::MutexLock lock(mu_);
+  ++stats_.misses;
+}
+
 bool ResultCache::contains(const std::string& key) {
-  std::error_code ec;
-  const bool present = std::filesystem::exists(path_of(key), ec) && !ec;
-  if (!present) {
-    util::MutexLock lock(mu_);
-    ++stats_.misses;
-  }
-  return present;
+  const bool found = present(key);
+  if (!found) count_miss();
+  return found;
 }
 
 std::optional<runtime::ExperimentResult> ResultCache::lookup(
     const std::string& key) {
-  const auto miss = [this] {
+  Fetch fetched = fetch(key);
+  if (settle(key, fetched) == nullptr) return std::nullopt;
+  return std::move(fetched.result);
+}
+
+ResultCache::Fetch ResultCache::fetch(const std::string& key) const {
+  const std::string path = entry_file(key);
+  Fetch out;
+  {
     util::MutexLock lock(mu_);
-    ++stats_.misses;
-  };
-  const std::filesystem::path path = path_of(key);
+    out.removals = removals_;
+  }
   const std::optional<std::vector<std::uint8_t>> bytes =
-      util::read_file_bytes(path);
-  if (!bytes) {
-    miss();
-    return std::nullopt;
-  }
+      util::read_file_bytes(path.c_str());
+  if (!bytes) return out;
+  out.bytes = static_cast<std::uint64_t>(bytes->size());
   try {
-    runtime::ExperimentResult result = runtime::decode_experiment_result(*bytes);
-    {
-      util::MutexLock lock(mu_);
-      ++stats_.hits;
-      touch(key, static_cast<std::uint64_t>(bytes->size()));
-    }
-    return result;
+    out.result = runtime::decode_experiment_result(*bytes);
   } catch (const codec::DecodeError&) {
-    // Torn or foreign-version file. Not a plain miss: quarantine it so the
-    // re-run's store() publishes fresh bytes instead of racing the damaged
-    // file, and so Stats make a rotting store visible. The quarantined copy
-    // keeps the evidence for a post-mortem.
-    try {
-      util::rename_path(path, dir_ / (key + ".corrupt"));
-    } catch (const util::WriteError&) {
-      // The entry vanished between read and rename — already gone.
-    }
-    util::MutexLock lock(mu_);
-    ++stats_.corrupt;
-    ++stats_.misses;
-    auto it = index_.find(key);
-    if (it != index_.end()) {
-      total_bytes_ -= it->second.bytes;
-      index_.erase(it);
-    }
-    return std::nullopt;
+    out.corrupt = true;
   }
+  return out;
+}
+
+runtime::ExperimentResult* ResultCache::settle(const std::string& key,
+                                               Fetch& fetched) {
+  bool stale;
+  {
+    util::MutexLock lock(mu_);
+    // Removed by this cache since the read began: the bytes in hand are no
+    // longer what an inline lookup would see, so read again. Only this
+    // object's evictions and quarantines bump removals_, and they run on
+    // the settling thread, so the re-read is current.
+    stale = fetched.removals != removals_ && !index_.contains(key);
+    if (!stale && fetched.result.has_value()) {
+      ++stats_.hits;
+      touch(key, fetched.bytes);
+      return &*fetched.result;
+    }
+    if (!stale && !fetched.corrupt) {
+      ++stats_.misses;
+      return nullptr;
+    }
+  }
+  if (stale) {
+    fetched = fetch(key);
+    return settle(key, fetched);
+  }
+  // Torn or foreign-version file. Not a plain miss: quarantine it so the
+  // re-run's store() publishes fresh bytes instead of racing the damaged
+  // file, and so Stats make a rotting store visible. The quarantined copy
+  // keeps the evidence for a post-mortem.
+  try {
+    util::rename_path(entry_file(key), dir_ / (key + ".corrupt"));
+  } catch (const util::WriteError&) {
+    // The entry vanished between read and rename — already gone.
+  }
+  util::MutexLock lock(mu_);
+  ++stats_.corrupt;
+  ++stats_.misses;
+  ++removals_;
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    total_bytes_ -= it->second.bytes;
+    index_.erase(it);
+  }
+  return nullptr;
 }
 
 void ResultCache::store(const std::string& key,
                         const runtime::ExperimentResult& result) {
-  const std::filesystem::path path = path_of(key);
+  const std::string path = entry_file(key);
   const std::vector<std::uint8_t> bytes =
       runtime::encode_experiment_result(result);
   // Durable publish: temp, write, fsync, atomic rename. Concurrent writers

@@ -54,6 +54,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "campaign/sink.hpp"
 #include "runtime/experiment.hpp"
@@ -90,12 +91,47 @@ class ResultCache {
   /// absent; present keys are counted by the lookup() that serves them —
   /// the cache-first campaign pairs one probe per experiment with one
   /// lookup per served hit, so Stats reflect what actually happened.
+  /// Equivalent to present(key), then count_miss() when absent.
   bool contains(const std::string& key);
 
   /// nullopt when absent or undecodable. Counts a hit or a miss; an
   /// undecodable entry is quarantined to `<key>.corrupt` and counted in
-  /// Stats::corrupt (see the header comment).
+  /// Stats::corrupt (see the header comment). Equivalent to fetch(key),
+  /// then settle().
   std::optional<runtime::ExperimentResult> lookup(const std::string& key);
+
+  // The side-effect-free halves of contains() and lookup(), for callers
+  // that probe and read on helper threads and book the outcomes on one
+  // thread in their own order (the cache-first campaign: campaign.cpp).
+
+  /// One entry file as read and decoded by fetch(); settle() books it.
+  struct Fetch {
+    /// The decoded result; empty when the file was absent or undecodable.
+    std::optional<runtime::ExperimentResult> result;
+    /// The file existed but did not decode.
+    bool corrupt{false};
+    /// Entry file size, for the accounting of a hit.
+    std::uint64_t bytes{0};
+    /// Removals (evictions, quarantines) this cache had made when the read
+    /// began: settle() re-reads an entry removed since.
+    std::uint64_t removals{0};
+  };
+
+  /// Existence probe with no side effect; safe on any thread.
+  bool present(const std::string& key) const;
+  /// Count one miss (a present() that found nothing).
+  void count_miss() LOKI_EXCLUDES(mu_);
+  /// Read and decode the entry for `key` with no side effect: no counter,
+  /// no generation touch, no quarantine. Safe on any thread.
+  Fetch fetch(const std::string& key) const LOKI_EXCLUDES(mu_);
+  /// Book a fetch exactly as lookup() would have at this point: a hit
+  /// counts and touches the entry's generation; an absent entry counts a
+  /// miss; an undecodable one is quarantined and counted. An entry this
+  /// cache removed after the fetch began is read again first, so the
+  /// outcome is the one an inline lookup() would have had. Returns the
+  /// result held in `fetched`, or nullptr when there is none.
+  runtime::ExperimentResult* settle(const std::string& key, Fetch& fetched)
+      LOKI_EXCLUDES(mu_);
 
   /// Durably store (or overwrite) the result for `key`: temp file, fsync,
   /// atomic rename. Throws CacheError when the bytes cannot be made
@@ -132,7 +168,12 @@ class ResultCache {
     std::uint64_t generation{0};
   };
 
-  std::filesystem::path path_of(const std::string& key) const;
+  /// `<dir>/<key>.result`; throws ConfigError on a malformed key. A plain
+  /// string: the hot paths hand it straight to stat/open.
+  std::string entry_file(const std::string& key) const;
+  /// Keys of the `<key>.result` files in the directory, sorted: one
+  /// listing, no per-entry stat.
+  std::vector<std::string> listed_keys() const;
   void load_index() LOKI_REQUIRES(mu_);
   void rebuild_index_from_disk() LOKI_REQUIRES(mu_);
   void persist_index() LOKI_REQUIRES(mu_);
@@ -140,6 +181,7 @@ class ResultCache {
   void gc() LOKI_REQUIRES(mu_);
 
   std::filesystem::path dir_;
+  std::string dir_prefix_;  // dir_ with a trailing separator
   CacheOptions options_;
   /// Guards counters and the index. Filesystem state needs no lock: writes
   /// publish via fsync + atomic rename, and readers treat torn files as
@@ -150,6 +192,8 @@ class ResultCache {
   std::uint64_t total_bytes_ LOKI_GUARDED_BY(mu_){0};
   std::uint64_t generation_ LOKI_GUARDED_BY(mu_){0};
   std::uint64_t stores_since_persist_ LOKI_GUARDED_BY(mu_){0};
+  /// Entries this cache has evicted or quarantined (Fetch::removals).
+  std::uint64_t removals_ LOKI_GUARDED_BY(mu_){0};
 };
 
 /// Streams every result of its registered studies into a ResultCache.

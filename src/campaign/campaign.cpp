@@ -1,14 +1,18 @@
 #include "campaign/campaign.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
 #include <optional>
 #include <set>
 #include <utility>
 
 #include "campaign/cache.hpp"
 #include "campaign/journal.hpp"
+#include "campaign/ordered_window.hpp"
 #include "runtime/serialize.hpp"
 #include "util/error.hpp"
+#include "util/mutex.hpp"
 
 namespace loki::campaign {
 
@@ -37,16 +41,55 @@ namespace {
   // Anything else propagates unannotated via the rethrow above.
 }
 
+/// Window slots per helper. The fetch stage holds at most this many decoded
+/// results per helper ahead of the emitting thread, which bounds memory; a
+/// probe-stage slot holds one chunk of keys.
+constexpr int kFetchSlotsPerHelper = 4;
+constexpr int kProbeSlotsPerHelper = 4;
+/// Indices per probe-stage item. Generator calls are serialized; taking
+/// the generator lock once per chunk rather than once per index keeps the
+/// producers from queueing on it (each queued acquisition is a sleep and a
+/// wake-up).
+constexpr int kProbeChunk = 16;
+
+/// What the probe stage learned about one index.
+struct Probe {
+  std::string key;
+  bool hit{false};
+};
+
+/// The probes of consecutive indices, up to the first failure, and that
+/// failure.
+struct ProbeChunk {
+  std::vector<Probe> probes;
+  std::exception_ptr error;
+};
+
 /// Cache-first execution of one study: serve hits, run misses as a compact
 /// sub-study through the real runner, and interleave both streams so emit
 /// observes exactly the serial sequence — including the failure-prefix
 /// semantics: if (sub-)experiment k fails, every completed index below k
 /// (cached or fresh) is emitted before the exception propagates.
 ///
-/// Memory stays O(1) results: only the 64-char keys and the miss list are
-/// materialized up front; each hit is generated, validated, read, and
-/// emitted lazily at its turn (generators are deterministic per index, the
-/// standard campaign contract).
+/// Two stages, each an OrderedWindow over `helpers` idle-core threads
+/// (none on one CPU: the same code then runs inline):
+///
+///   * probe: generate (serialized, as in ThreadPoolRunner), key, check
+///     existence, and validate hits, for every index before anything is
+///     emitted. The first failure in index order is rethrown, so a config
+///     mistake on a cached index surfaces before anything runs.
+///   * fetch: read and decode hit entries a few slots ahead of the emitting
+///     thread, which takes entry k only at k's turn — also when it does so
+///     inside the runner's emit callback for a mixed study.
+///
+/// Every cache side effect (miss and hit counts, generation touches,
+/// quarantine) is booked on this thread in index order: helpers only call
+/// ResultCache::present and ResultCache::fetch; this thread calls
+/// count_miss and settle. Stats, the generation order and the error points
+/// are therefore those of a serial loop.
+///
+/// Memory stays O(window) results: only the 64-char keys and the hit/miss
+/// lists are materialized up front.
 ///
 /// `start` skips indices below it entirely (no probe, no validation) — the
 /// resume path replays those from the journal before calling in here. When
@@ -56,26 +99,75 @@ namespace {
 void run_study_cache_first(Runner& runner, ResultCache& cache,
                            const runtime::StudyParams& study,
                            const EmitFn& emit, int& cache_hits, int start,
-                           CampaignJournal* journal, std::uint32_t ordinal) {
+                           CampaignJournal* journal, std::uint32_t ordinal,
+                           int helpers) {
   const int n = study.experiments;
   if (n <= 0 || start >= n) return;
   std::vector<std::string> keys(static_cast<std::size_t>(n));
+  std::vector<int> hits;
   std::vector<int> missing;
-  for (int k = start; k < n; ++k) {
-    // One generator call per index, all on this thread — emit_cached_below
-    // runs inside the runner's emit callback, where another make_params
-    // call would race the runner's own (gen_mu-serialized) generator use.
-    runtime::ExperimentParams params = study.make_params(k);
-    keys[static_cast<std::size_t>(k)] = runtime::experiment_cache_key(params);
-    if (cache.contains(keys[static_cast<std::size_t>(k)])) {
-      // Hits skip run_experiment, not validation; a config mistake on a
-      // cached index surfaces here, before anything runs, rather than at
-      // its serial emit position.
-      validate_experiment_params(params, experiment_context(study, k));
-    } else {
-      missing.push_back(k);  // the runner validates misses itself
+  {
+    // Generators are deterministic per index but need not be thread-safe.
+    // They are all called here, before the runner starts, so no call can
+    // race the runner's own generator use.
+    util::Mutex gen_mu;
+    const int chunks = (n - start + kProbeChunk - 1) / kProbeChunk;
+    OrderedWindow<ProbeChunk> probes(
+        chunks, helpers, kProbeSlotsPerHelper * helpers,
+        WindowConsumer::Helps, [&](int, int c) {
+          const int lo = start + c * kProbeChunk;
+          const int hi = std::min(n, lo + kProbeChunk);
+          ProbeChunk chunk;
+          std::vector<runtime::ExperimentParams> params;
+          params.reserve(static_cast<std::size_t>(hi - lo));
+          try {
+            util::MutexLock lock(gen_mu);
+            for (int k = lo; k < hi; ++k)
+              params.push_back(study.make_params(k));
+          } catch (...) {
+            chunk.error = std::current_exception();
+          }
+          try {
+            for (std::size_t j = 0; j < params.size(); ++j) {
+              Probe probe;
+              probe.key = runtime::experiment_cache_key(params[j]);
+              probe.hit = cache.present(probe.key);
+              // Hits skip run_experiment, not validation; the runner
+              // validates misses itself.
+              if (probe.hit)
+                validate_experiment_params(
+                    params[j],
+                    experiment_context(study, lo + static_cast<int>(j)));
+              chunk.probes.push_back(std::move(probe));
+            }
+          } catch (...) {
+            chunk.error = std::current_exception();  // below the generator's
+          }
+          return chunk;
+        });
+    int k = start;
+    for (int c = 0; c < chunks; ++c) {
+      ProbeChunk chunk = probes.take(c);
+      for (Probe& probe : chunk.probes) {
+        keys[static_cast<std::size_t>(k)] = std::move(probe.key);
+        if (probe.hit) {
+          hits.push_back(k);
+        } else {
+          cache.count_miss();
+          missing.push_back(k);
+        }
+        ++k;
+      }
+      if (chunk.error) std::rethrow_exception(chunk.error);
     }
   }
+
+  OrderedWindow<ResultCache::Fetch> reads(
+      static_cast<int>(hits.size()), helpers, kFetchSlotsPerHelper * helpers,
+      WindowConsumer::Helps, [&](int, int h) {
+        return cache.fetch(keys[static_cast<std::size_t>(
+            hits[static_cast<std::size_t>(h)])]);
+      });
 
   // Write-ahead emit: the journal learns about an index before any sink
   // does, so a crash mid-emit resumes by re-emitting it from the cache.
@@ -87,21 +179,23 @@ void run_study_cache_first(Runner& runner, ResultCache& cache,
   };
 
   int next_emit = start;
+  int next_hit = 0;  // every index in [next_emit, bound) below is a hit
   const auto emit_cached_below = [&](int bound) {
     while (next_emit < bound) {
       // Advance first: if the read or a sink throws here, the index counts
       // as delivered and is never re-emitted by a later flush.
       const int k = next_emit++;
-      std::optional<runtime::ExperimentResult> result =
-          cache.lookup(keys[static_cast<std::size_t>(k)]);
-      if (!result.has_value())
+      const std::string& key = keys[static_cast<std::size_t>(k)];
+      ResultCache::Fetch fetched = reads.take(next_hit++);
+      runtime::ExperimentResult* result = cache.settle(key, fetched);
+      if (result == nullptr)
         throw std::runtime_error(
             "ResultCache: entry for " + experiment_context(study, k) +
-            " disappeared or went undecodable mid-study (key " +
-            keys[static_cast<std::size_t>(k)] +
+            " disappeared or went undecodable mid-study (key " + key +
             "); a concurrent eviction? re-run the campaign");
       ++cache_hits;
       journal_and_emit(k, std::move(*result));
+      reads.recycle(std::move(fetched));  // freed where it was decoded
     }
   };
 
@@ -226,6 +320,9 @@ Campaign::Summary Campaign::run() {
   }
   CampaignJournal* const jptr = journal ? &*journal : nullptr;
 
+  // Idle cores for the cache path's probe and read-ahead (none on one CPU).
+  const int helpers = cache_ ? coordinator_helpers() : 0;
+
   for (const auto& sink : sinks_) sink->on_campaign_begin(summary.studies);
 
   try {
@@ -251,26 +348,35 @@ Campaign::Summary Campaign::run() {
         // key: no probing, no re-validation, no re-journaling — these
         // records are already durable. The entries MUST exist: IndexDone is
         // only ever written after the durable store, so a miss here means
-        // the cache was pruned behind the journal's back.
-        replay_from = static_cast<int>(journaled->done_keys.size());
+        // the cache was pruned behind the journal's back. They are read
+        // ahead on the helpers and settled here, in order, like the hits of
+        // run_study_cache_first.
+        const std::vector<std::string>& done_keys = journaled->done_keys;
+        replay_from = static_cast<int>(done_keys.size());
+        OrderedWindow<ResultCache::Fetch> reads(
+            replay_from, helpers, kFetchSlotsPerHelper * helpers,
+            WindowConsumer::Helps, [&](int, int k) {
+              return cache_->fetch(done_keys[static_cast<std::size_t>(k)]);
+            });
         for (int k = 0; k < replay_from; ++k) {
-          std::optional<runtime::ExperimentResult> result = cache_->lookup(
-              journaled->done_keys[static_cast<std::size_t>(k)]);
-          if (!result.has_value())
+          const std::string& key = done_keys[static_cast<std::size_t>(k)];
+          ResultCache::Fetch fetched = reads.take(k);
+          runtime::ExperimentResult* result = cache_->settle(key, fetched);
+          if (result == nullptr)
             throw std::runtime_error(
                 "campaign resume: journaled " + experiment_context(study, k) +
-                " is missing from the cache (key " +
-                journaled->done_keys[static_cast<std::size_t>(k)] +
+                " is missing from the cache (key " + key +
                 "); journal and cache have diverged — delete the journal to "
                 "start over");
           ++summary.replayed;
           deliver(k, std::move(*result));
+          reads.recycle(std::move(fetched));
         }
       }
       if (cache_)
         run_study_cache_first(*runner_, *cache_, study, deliver,
                               summary.cache_hits, replay_from, jptr,
-                              static_cast<std::uint32_t>(i));
+                              static_cast<std::uint32_t>(i), helpers);
       else
         runner_->run_study(study, deliver);
       if (jptr != nullptr && !(journaled != nullptr && journaled->ended))

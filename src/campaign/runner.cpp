@@ -1,11 +1,9 @@
 #include "campaign/runner.hpp"
 
-#include <atomic>
-#include <map>
+#include <deque>
 #include <string_view>
-#include <thread>
-#include <vector>
 
+#include "campaign/ordered_window.hpp"
 #include "campaign/process_runner.hpp"
 #include "campaign/remote_runner.hpp"
 #include "campaign/transport.hpp"
@@ -14,7 +12,6 @@
 #include "util/error.hpp"
 #include "util/mutex.hpp"
 #include "util/text_file.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace loki::campaign {
 
@@ -37,26 +34,6 @@ std::shared_ptr<const runtime::CompiledStudy> compile_study_front(
     const runtime::StudyParams& study) {
   return runtime::CompiledStudy::compile(checked_params(study, 0));
 }
-
-/// Everything ThreadPoolRunner's workers and drain loop share. The mutex
-/// discipline is declared so clang -Wthread-safety can prove it: `mu`
-/// guards claim/complete/drain state, `gen_mu` only serializes user
-/// parameter generators (which may share hidden state across indices).
-struct PoolShared {
-  explicit PoolShared(int n) : fail_min(n) {}
-
-  util::Mutex gen_mu;  // serializes make_params; never held with `mu`
-  util::Mutex mu;
-  util::CondVar cv;
-  std::map<int, runtime::ExperimentResult> ready LOKI_GUARDED_BY(mu);
-  std::exception_ptr failure LOKI_GUARDED_BY(mu);
-  int fail_min LOKI_GUARDED_BY(mu);    // lowest index that threw
-  int next LOKI_GUARDED_BY(mu){0};     // next index to claim
-  int emitted LOKI_GUARDED_BY(mu){0};  // indices already handed to emit
-  /// Not guarded: a latch raced only in the safe direction. Workers that
-  /// miss a newly-set abort claim at most one extra experiment.
-  std::atomic<bool> abort{false};
-};
 
 }  // namespace
 
@@ -91,91 +68,30 @@ void ThreadPoolRunner::run_study(const runtime::StudyParams& study,
   const std::shared_ptr<const runtime::CompiledStudy> compiled =
       compile_study_front(study);
 
-  PoolShared s(n);
-  // Backpressure: at most `window` experiments past the drain cursor may be
-  // claimed, so `ready` stays O(workers) even when one early experiment is
-  // slow — the streaming-sink memory guarantee survives skewed runtimes.
-  const int window = 2 * workers_;
+  // One resettable context per worker thread, alive for the whole study.
+  const int spawn = workers_ < n ? workers_ : n;
+  std::deque<runtime::ExperimentContext> contexts;
+  for (int i = 0; i < spawn; ++i) contexts.emplace_back(compiled);
 
-  auto worker = [&] {
-    // One resettable context per worker thread, alive for the whole study.
-    runtime::ExperimentContext context(compiled);
-    for (;;) {
-      int k;
-      {
-        util::MutexLock lock(s.mu);
-        while (!(s.abort.load(std::memory_order_relaxed) ||
-                 s.failure != nullptr || s.next >= n ||
-                 s.next - s.emitted < window))
-          s.cv.wait(s.mu);
-        if (s.abort.load(std::memory_order_relaxed) || s.failure != nullptr ||
-            s.next >= n)
-          return;
-        k = s.next++;
-      }
-      try {
+  // Generators may capture shared state by reference; they are only
+  // required to be deterministic per index, so calls are serialized.
+  util::Mutex gen_mu;
+  // Backpressure: at most `window` experiments past the emit cursor are
+  // claimed, so the reorder buffer stays O(workers) even when one early
+  // experiment is slow — the streaming-sink memory guarantee survives
+  // skewed runtimes. The window also gives the failure semantics: emit
+  // stops at the first failing index, after the serial prefix.
+  OrderedWindow<runtime::ExperimentResult> window(
+      n, spawn, 2 * workers_, WindowConsumer::Waits, [&](int worker, int k) {
         runtime::ExperimentParams params;
         {
-          util::MutexLock lock(s.gen_mu);
+          util::MutexLock lock(gen_mu);
           params = study.make_params(k);
         }
         validate_experiment_params(params, experiment_context(study, k));
-        runtime::ExperimentResult result = context.run(params);
-        {
-          util::MutexLock lock(s.mu);
-          s.ready.emplace(k, std::move(result));
-        }
-      } catch (...) {
-        {
-          util::MutexLock lock(s.mu);
-          if (k < s.fail_min) {
-            s.fail_min = k;
-            s.failure = std::current_exception();
-          }
-        }
-        s.abort.store(true, std::memory_order_relaxed);
-      }
-      s.cv.notify_all();
-    }
-  };
-
-  std::vector<std::thread> pool;
-  const int spawn = workers_ < n ? workers_ : n;
-  pool.reserve(static_cast<std::size_t>(spawn));
-  for (int i = 0; i < spawn; ++i) pool.emplace_back(worker);
-
-  // Drain completions in index order on the calling thread, so sinks see
-  // exactly the sequence SerialRunner would produce — including on failure:
-  // every index below the first failing one was claimed earlier and will
-  // either complete (emitted here) or lower fail_min itself, so waiting on
-  // `ready[k] || k >= fail_min` emits the same prefix serial would before
-  // rethrowing the first failure.
-  try {
-    util::MutexLock lock(s.mu);
-    for (int k = 0; k < n; ++k) {
-      while (!(s.ready.contains(k) || k >= s.fail_min)) s.cv.wait(s.mu);
-      if (k >= s.fail_min) break;
-      auto node = s.ready.extract(k);
-      lock.unlock();
-      emit(k, std::move(node.mapped()));
-      lock.lock();
-      ++s.emitted;
-      s.cv.notify_all();  // open the claim window
-    }
-  } catch (...) {
-    s.abort.store(true, std::memory_order_relaxed);
-    s.cv.notify_all();
-    for (std::thread& t : pool) t.join();
-    throw;
-  }
-
-  for (std::thread& t : pool) t.join();
-  {
-    // Workers are joined: sole owner now, but the analysis still wants the
-    // lock for the guarded reads (and it documents the rethrow contract).
-    util::MutexLock lock(s.mu);
-    if (s.failure) std::rethrow_exception(s.failure);
-  }
+        return contexts[static_cast<std::size_t>(worker)].run(params);
+      });
+  for (int k = 0; k < n; ++k) emit(k, window.take(k));
 }
 
 std::shared_ptr<Runner> make_runner(int parallelism) {

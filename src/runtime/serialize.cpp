@@ -118,7 +118,7 @@ void put_params_body(Writer& w, const ExperimentParams& p) {
                         "application identity can be serialized");
     w.str(n.nickname);
     w.str(n.sm_spec.name());
-    w.str(spec::serialize_state_machine_spec(n.sm_spec));
+    w.str(n.sm_spec.text());
     w.str(spec::serialize_fault_spec(n.fault_spec));
     w.str(n.app_name);
     w.str(n.app_args);

@@ -40,6 +40,13 @@ void StateMachineSpec::set_name(std::string n) {
   data_ = std::move(data);
 }
 
+const std::string& StateMachineSpec::text() const {
+  TextMemo& memo = data_->memo;
+  std::call_once(memo.once,
+                 [&] { memo.text = serialize_state_machine_spec(*this); });
+  return memo.text;
+}
+
 bool StateMachineSpec::has_state(const std::string& s) const {
   const auto& states = data_->states;
   return std::find(states.begin(), states.end(), s) != states.end();

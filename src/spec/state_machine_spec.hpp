@@ -21,6 +21,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,13 +79,29 @@ class StateMachineSpec {
   /// path; unequal tokens say nothing.
   const void* identity() const { return data_.get(); }
 
+  /// serialize_state_machine_spec(*this), computed on first use and kept
+  /// in the shared block, so every copy of one parsed spec serializes once
+  /// (the cache key encodes each node's spec per experiment). Thread-safe.
+  const std::string& text() const;
+
  private:
+  /// Lazily filled serialized text. Copying yields an empty memo, so a
+  /// block detached by set_name() computes its own.
+  struct TextMemo {
+    TextMemo() = default;
+    TextMemo(const TextMemo&) {}
+    TextMemo& operator=(const TextMemo&) = delete;
+    std::once_flag once;
+    std::string text;
+  };
+
   struct Data {
     std::string name;
     std::vector<std::string> states;
     std::vector<std::string> events;
     std::vector<StateDef> defs;
     std::map<std::string, std::size_t> def_index;
+    mutable TextMemo memo;
   };
 
   std::shared_ptr<const Data> data_;

@@ -81,11 +81,10 @@ void rename_path(const std::filesystem::path& from,
   if (::rename(from.c_str(), to.c_str()) != 0) fail("rename", to, errno);
 }
 
-std::optional<std::vector<std::uint8_t>> read_file_bytes(
-    const std::filesystem::path& path) {
+std::optional<std::vector<std::uint8_t>> read_file_bytes(const char* path) {
   int fd;
   do {
-    fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    fd = ::open(path, O_RDONLY | O_CLOEXEC);
   } while (fd < 0 && errno == EINTR);
   if (fd < 0) return std::nullopt;
   const auto give_up = [fd] {

@@ -59,7 +59,10 @@ void rename_path(const std::filesystem::path& from,
 /// into a buffer of that size until EOF (EINTR retried; a file that grew
 /// since the fstat is still read to its end). nullopt when the file cannot
 /// be opened or read, with errno left as the failing call set it.
-std::optional<std::vector<std::uint8_t>> read_file_bytes(
-    const std::filesystem::path& path);
+std::optional<std::vector<std::uint8_t>> read_file_bytes(const char* path);
+inline std::optional<std::vector<std::uint8_t>> read_file_bytes(
+    const std::filesystem::path& path) {
+  return read_file_bytes(path.c_str());
+}
 
 }  // namespace loki::util

@@ -459,6 +459,32 @@ TEST(HardenedCache, MissingIndexIsRebuiltFromDisk) {
   EXPECT_TRUE(cache.lookup(key).has_value());
 }
 
+TEST(HardenedCache, EntryDeletedBehindTheIndexIsDroppedAtReopen) {
+  const std::string dir = temp_path("cache-pruned");
+  const std::string k1(64, 'c'), k2(64, 'd'), k3(64, 'e'), k4(64, 'f');
+  {
+    campaign::ResultCache cache(dir);
+    cache.store(k1, ExperimentResult{});
+    cache.store(k2, ExperimentResult{});
+    cache.store(k3, ExperimentResult{});
+  }  // destructor persists the index with all three
+  const std::uintmax_t entry_bytes =
+      fs::file_size(fs::path(dir) / (k1 + ".result"));
+  fs::remove(fs::path(dir) / (k2 + ".result"));
+
+  // A budget of exactly three entries' bytes: k4 fits only if the deleted
+  // k2's bytes left the accounting at reopen.
+  campaign::CacheOptions options;
+  options.max_bytes = 3 * entry_bytes;
+  campaign::ResultCache cache(dir, options);
+  EXPECT_FALSE(cache.contains(k2));
+  cache.store(k4, ExperimentResult{});
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_TRUE(cache.contains(k1));
+  EXPECT_TRUE(cache.contains(k3));
+  EXPECT_TRUE(cache.contains(k4));
+}
+
 TEST(HardenedCache, StoreFailureThrowsCacheError) {
   const std::string dir = temp_path("cache-dead");
   campaign::ResultCache cache(dir);

@@ -113,6 +113,45 @@ TEST(WireParams, CacheKeyIsStableAndSeedSensitive) {
   EXPECT_NE(a1, b);
 }
 
+TEST(WireParams, MemoizedSpecTextKeysLikeAFreshlyParsedSpec) {
+  // The key encodes each node's state-machine spec as text, memoized in the
+  // spec's shared block. For every bundled app it must equal the key of the
+  // same params with every spec re-parsed into an unshared block.
+  apps::KvStoreParams kv;
+  kv.initial_primary = "kv1";
+  const std::vector<ExperimentParams> bundled = {
+      sample_params(7),
+      apps::kvstore_experiment(
+          51, kHosts, {{"kv1", "hostA"}, {"kv2", "hostB"}, {"kv3", "hostC"}},
+          kv),
+      apps::token_ring_experiment(
+          61, kHosts, {{"n1", "hostA"}, {"n2", "hostB"}, {"n3", "hostC"}},
+          apps::TokenRingParams{}),
+  };
+  for (const ExperimentParams& p : bundled) {
+    const std::string key = runtime::experiment_cache_key(p);
+    EXPECT_EQ(runtime::experiment_cache_key(p), key);  // now from the memo
+    ExperimentParams fresh = p;
+    for (runtime::NodeConfig& node : fresh.nodes) {
+      spec::StateMachineSpec parsed = spec::parse_state_machine_spec(
+          spec::serialize_state_machine_spec(node.sm_spec), "fresh");
+      parsed.set_name(node.sm_spec.name());
+      ASSERT_NE(parsed.identity(), node.sm_spec.identity());
+      node.sm_spec = std::move(parsed);
+    }
+    EXPECT_EQ(runtime::experiment_cache_key(fresh), key)
+        << p.nodes[0].app_name;
+  }
+
+  // set_name detaches the block, memo included; the text does not carry
+  // the name, so both blocks serialize alike.
+  spec::StateMachineSpec renamed = bundled[0].nodes[0].sm_spec;
+  renamed.set_name("renamed");
+  EXPECT_NE(renamed.identity(), bundled[0].nodes[0].sm_spec.identity());
+  EXPECT_EQ(renamed.text(), bundled[0].nodes[0].sm_spec.text());
+  EXPECT_EQ(renamed.text(), spec::serialize_state_machine_spec(renamed));
+}
+
 // --- ExperimentResult --------------------------------------------------------
 
 ExperimentResult synthetic_result() {
