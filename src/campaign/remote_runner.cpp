@@ -369,9 +369,6 @@ class Engine {
           break;
         case WorkerFrame::Pong:
           break;
-        case WorkerFrame::Result:
-          on_result(ws, runtime::decode_result_frame(frame, &interner_));
-          break;
         case WorkerFrame::ResultBatch: {
           // All-or-nothing: decode_result_batch_frame throws on any
           // malformed entry before a single result escapes, so a corrupt

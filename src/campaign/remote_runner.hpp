@@ -1,13 +1,14 @@
 // Crash-tolerant multi-worker campaign execution over a pluggable
 // Transport (campaign/transport.hpp).
 //
-// RemoteRunner replaces static round-robin sharding with dynamic work-queue
-// sharding: the study's indices are split into small leases, idle workers
-// pull the next lease, and the parent reassembles results into the serial
-// emit order. Because run_experiment is deterministic in its params, a
-// lease that is re-run after a worker died produces byte-identical results,
-// so crash recovery never perturbs the campaign's output — the
-// serial == threads == procs == remote identity invariant survives faults.
+// RemoteRunner is the one multi-process runner (procs:N locally, remote:FILE
+// over ssh). It shards by dynamic work queue: the study's indices are split
+// into small leases, idle workers pull the next lease, and the parent
+// reassembles results into the serial emit order. Because run_experiment is
+// deterministic in its params, a lease that is re-run after a worker died
+// produces byte-identical results, so crash recovery never perturbs the
+// campaign's output — the serial == threads == procs == remote identity
+// invariant survives faults.
 //
 // Failure handling, per worker:
 //   * stream EOF (crash, SIGKILL, ssh drop) -> outstanding lease indices
@@ -25,7 +26,7 @@
 // worker dies with work remaining and no reconnect is pending, the runner
 // throws std::runtime_error.
 //
-// Contract (matching SerialRunner / ThreadPoolRunner / ProcessPoolRunner):
+// Contract (matching SerialRunner / ThreadPoolRunner):
 //   * emit(k, result) exactly once per index, in increasing k, on the
 //     calling thread;
 //   * failure-prefix semantics: if experiment k itself fails (generator,

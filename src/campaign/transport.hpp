@@ -2,7 +2,7 @@
 //
 // A Transport spawns (or attaches to) workers and hands back one WorkerLink
 // per worker: a full-duplex, frame-oriented channel. Transports move bytes
-// only — the worker *protocol* (Hello/Lease/Result/..., see
+// only — the worker *protocol* (Hello/Lease/ResultBatch/..., see
 // runtime/serialize.hpp and campaign/remote_runner.hpp) is layered on top
 // by RemoteRunner on the parent side and serve_worker on the worker side,
 // so every backend shares one protocol implementation and one conformance
@@ -15,11 +15,9 @@
 //                         framed over pipes (util/pipe_io.hpp).
 //   SshTransport          exec's `ssh <host> <worker command>` per host —
 //                         the same frame protocol over an ssh stdio tunnel.
-//   FakeTransport         in-process worker threads over in-memory frame
-//                         queues, with scripted fault injection (kill,
-//                         hang, EOF, corrupt, truncate, drop, delay) so
-//                         runner crash-tolerance is testable
-//                         deterministically.
+//
+// The test suite adds an in-process backend with scripted faults
+// (tests/support/fake_transport.hpp); it is not part of the library.
 //
 // Threading contract: send() and recv() may be called concurrently from
 // different threads (RemoteRunner sends leases from its main thread while a
@@ -104,7 +102,7 @@ class Transport {
 
 /// Worker-side view of the same duplex channel — what serve_worker speaks,
 /// so the protocol loop runs identically in an exec'd process (fds), a
-/// forked child (fds), and a FakeTransport thread (queues).
+/// forked child (fds), and an in-process test worker thread (queues).
 class FrameChannel {
  public:
   virtual ~FrameChannel();
@@ -129,8 +127,8 @@ class FdFrameChannel final : public FrameChannel {
 /// parent->worker frames with push(), drive serve_worker inline on the
 /// calling thread, then inspect written(). No locking — this is the
 /// benchmark/unit-test harness for the worker protocol loop (BM_WorkerLoop
-/// measures serve_worker's steady-state floor through it); FakeTransport
-/// has its own threaded channel for cross-thread fault injection.
+/// measures serve_worker's steady-state floor through it); the test
+/// suite's fault-injecting transport has its own threaded channel.
 class QueueFrameChannel final : public FrameChannel {
  public:
   /// Enqueue one parent->worker frame; read() consumes them in order and
@@ -167,37 +165,6 @@ class QueueFrameChannel final : public FrameChannel {
 
 namespace detail {
 struct FdRegistry;  // open parent-side fds, closed inside fork()ed children
-struct FakeWorker;
-class FirstLeaseBarrier;
-
-/// Scripted fault plan for one FakeTransport worker. The *_after thresholds
-/// count delivered result *entries* (experiments); the *_nth counters are
-/// 1-based over result-bearing *frames* (ResultBatch or legacy Result) as
-/// the parent receives them. -1 disables a fault.
-struct FakeFaults {
-  int kill_after{-1};
-  int eof_after{-1};
-  int hang_after{-1};
-  int corrupt_nth{-1};
-  int truncate_nth{-1};
-  int drop_nth{-1};
-  int delay_nth{-1};
-  std::chrono::milliseconds delay{0};
-  /// Heartbeat transit faults: after `drop_heartbeats_after` heartbeat
-  /// frames were delivered (0 = none ever arrive), later ones vanish;
-  /// heartbeat_delay stalls each delivered heartbeat in transit. -1/0
-  /// disable. Result frames are unaffected — these script a worker whose
-  /// liveness signal (not its work) is lost.
-  int drop_heartbeats_after{-1};
-  std::chrono::milliseconds heartbeat_delay{0};
-};
-
-/// Process-wide count of FakeWorker threads that had to detach because
-/// their own teardown ran the join (the thread held the last reference to
-/// its own worker). The join discipline — owners join via stop_and_join,
-/// a serving thread never destroys its own FakeWorker — keeps this at 0;
-/// the regression test in transport_test.cpp pins that down.
-std::uint64_t fake_worker_self_detaches();
 }  // namespace detail
 
 class SubprocessTransport final : public Transport {
@@ -250,89 +217,6 @@ class SshTransport final : public Transport {
   std::vector<std::string> remote_command_;
   std::string ssh_binary_;
   std::shared_ptr<detail::FdRegistry> registry_;
-};
-
-/// In-process transport for tests: each worker is a thread speaking the
-/// worker protocol over in-memory frame queues (including the Hello-framed
-/// study, so wire encode/decode is exercised end to end). Faults are
-/// scripted per worker before the campaign runs. The *_after_results
-/// thresholds count result entries as the parent receives them; the
-/// Nth-batch faults count result-bearing frames (1-based). Workers default
-/// to one result per batch (batch_soft_bytes = 1), so entry counts and
-/// frame counts coincide unless a test raises the batch bound via
-/// set_batch_soft_bytes to exercise multi-result batches.
-///
-/// Deterministic schedule: under dynamic leasing a fast worker could drain
-/// a small study before a peer ever handshakes, so "worker w's Nth frame"
-/// might never exist. The workers connect()ed for a study therefore pass a
-/// first-lease barrier: every worker's Result, ResultBatch and LeaseDone
-/// frames wait in transit until each of them has been sent its first
-/// lease (or is gone, or every index of the study has been leased). No
-/// worker returns to idle before then, so the runner's first round of
-/// leases reaches the whole fleet — a scripted victim included — whatever
-/// the thread scheduling. Workers respawned by reopen() do not join it.
-class FakeTransport final : public Transport {
- public:
-  explicit FakeTransport(int workers);
-  ~FakeTransport() override;
-
-  std::string name() const override;
-  int worker_count() const override { return workers_; }
-  std::unique_ptr<WorkerLink> connect(int index,
-                                      const runtime::StudyParams& study) override;
-  /// Honours the refuse_reconnects script, then respawns the worker with a
-  /// CLEAN fault slot: the scripted fault described the process that died,
-  /// and its replacement is a fresh one — which is also what keeps flap
-  /// tests deterministic (the replacement cannot re-trip the same fault).
-  std::unique_ptr<WorkerLink> reopen(int index,
-                                     const runtime::StudyParams& study) override;
-
-  /// Worker-side ResultBatch flush bound for subsequently connected
-  /// workers. Default 1: every result flushes its own batch.
-  void set_batch_soft_bytes(std::size_t bytes) { batch_soft_bytes_ = bytes; }
-
-  /// Script a flapping link: the next `n` reopen() calls for `worker` throw
-  /// (connection refused), later ones succeed — "refuse twice, then
-  /// accept" exercises the runner's backoff without any real sockets.
-  void refuse_reconnects(int worker, int n);
-
-  /// SIGKILL equivalent: after `n` results were delivered, the stream ends
-  /// (Eof) and the worker thread is torn down; queued frames are lost.
-  void kill_after_results(int worker, int n);
-  /// Clean mid-lease close: the stream reports Eof after `n` results while
-  /// the worker may still be running.
-  void eof_after_results(int worker, int n);
-  /// The worker goes silent after `n` results: no frames, no Eof — the
-  /// parent must detect it via recv timeouts.
-  void hang_after_results(int worker, int n);
-  /// The `nth` result-bearing frame (1-based) arrives corrupted: its first
-  /// status byte is clobbered to an out-of-range value, which the batch
-  /// decoder must reject with a typed error before any entry escapes.
-  void corrupt_batch(int worker, int nth);
-  /// The `nth` result-bearing frame (1-based) arrives truncated (its tail
-  /// cut mid-payload) — a framing-layer short read the decoder must reject.
-  void truncate_batch(int worker, int nth);
-  /// The `nth` result-bearing frame (1-based) vanishes in transit.
-  void drop_batch(int worker, int nth);
-  /// The `nth` result-bearing frame (1-based) is delayed by `by`.
-  void delay_batch(int worker, int nth, std::chrono::milliseconds by);
-  /// Heartbeats past the first `n` vanish in transit (0 = all of them);
-  /// result frames still flow. With a large batch bound this makes a busy,
-  /// healthy worker look silent — the hung-worker drill.
-  void drop_heartbeats_after(int worker, int n);
-  /// Every delivered heartbeat is stalled by `by` in transit.
-  void delay_heartbeats(int worker, std::chrono::milliseconds by);
-
- private:
-  detail::FakeFaults& fault_slot(int worker);
-  std::shared_ptr<detail::FakeWorker> spawn(int index);
-
-  int workers_;
-  std::size_t batch_soft_bytes_{1};
-  std::shared_ptr<detail::FirstLeaseBarrier> barrier_;
-  std::vector<detail::FakeFaults> faults_;
-  std::vector<int> refuse_;
-  std::vector<std::shared_ptr<detail::FakeWorker>> live_;
 };
 
 }  // namespace loki::campaign

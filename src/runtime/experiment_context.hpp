@@ -10,7 +10,7 @@
 //   CompiledStudy      (runtime/compiled_study.hpp) — built once per study,
 //                      immutable, shareable across worker threads.
 //   ExperimentContext  one per executor (serial loop, pool worker thread,
-//                      forked shard, remote worker) — owns the sim::World,
+//                      worker process) — owns the sim::World,
 //                      the recorders, and the per-run wiring, and resets
 //                      them in place between experiments instead of
 //                      reallocating: the world keeps its event slab and

@@ -32,8 +32,7 @@
 //   worker -> parent   HelloAck     protocol version + worker pid
 //                      Heartbeat    periodic liveness while a lease runs,
 //                                   carrying a WorkerStatsSnapshot
-//                      Result       one experiment's outcome (ok or error)
-//                      ResultBatch  several outcomes of one lease in one frame
+//                      ResultBatch  outcomes of one lease (ok or error)
 //                      LeaseDone    lease finished (possibly early, on error)
 //                      Pong         Ping echo
 //
@@ -67,7 +66,7 @@
 // StudyParams is a closure (make_params) in memory; on the wire it is the
 // *materialized* study — each index's generated ExperimentParams, in order.
 // Decoding yields a StudyParams whose generator replays those params, which
-// is exactly what a shard worker in another process needs. Generators must
+// is exactly what a worker in another process needs. Generators must
 // be deterministic per index for this to be faithful (the documented
 // campaign contract).
 //
@@ -104,7 +103,7 @@ std::vector<std::uint8_t> encode_experiment_result(const ExperimentResult& r);
 void encode_experiment_result(const ExperimentResult& r,
                               std::vector<std::uint8_t>& out);
 ExperimentResult decode_experiment_result(const std::vector<std::uint8_t>& bytes);
-/// Zero-copy flavour for decoding out of a larger buffer (e.g. a shard
+/// Zero-copy flavour for decoding out of a larger buffer (e.g. a batch
 /// frame) without slicing it into a fresh vector first.
 ExperimentResult decode_experiment_result(const std::uint8_t* data,
                                           std::size_t size);
@@ -132,7 +131,7 @@ std::string experiment_cache_key(const ExperimentParams& p);
 /// parse and copies the cached header (short dictionary names stay in SSO
 /// storage, so the copy is a handful of vector clones, not one allocation
 /// per string). Hold one per study; it is NOT thread-safe, matching the
-/// single-threaded decode loops in RemoteRunner and ProcessPoolRunner.
+/// single-threaded decode loop in RemoteRunner.
 class ResultInterner {
  public:
   std::size_t header_hits() const { return hits_; }
@@ -164,7 +163,8 @@ enum class WorkerFrame : std::uint8_t {
   HelloAck = 2,
   Lease = 3,
   Heartbeat = 4,
-  Result = 5,
+  // 5 was the single-result frame, retired in favour of ResultBatch: never
+  // reassign it, and worker_frame_type rejects it like any unknown type.
   LeaseDone = 6,
   Shutdown = 7,
   Ping = 8,
@@ -230,28 +230,14 @@ HeartbeatFrame decode_heartbeat_frame(const std::vector<std::uint8_t>& frame);
 std::vector<std::uint8_t> encode_lease_done_frame(std::uint32_t lease_id);
 std::uint32_t decode_lease_done_frame(const std::vector<std::uint8_t>& frame);
 
-std::vector<std::uint8_t> encode_result_ok_frame(std::uint32_t index,
-                                                 const ExperimentResult& result);
-/// Zero-copy flavour: clears `out` and encodes the frame into it, reusing
-/// its capacity. A worker loop keeps one buffer and never reallocates once
-/// it has seen its largest result.
-void encode_result_ok_frame(std::uint32_t index, const ExperimentResult& result,
-                            std::vector<std::uint8_t>& out);
-std::vector<std::uint8_t> encode_result_error_frame(std::uint32_t index,
-                                                    WireErrorCategory category,
-                                                    const std::string& message);
+/// One decoded ResultBatch entry: an experiment's outcome, ok or error.
 struct ResultFrame {
   std::uint32_t index{0};
   bool ok{false};
-  ExperimentResult result;  // ok frames only
-  WireErrorCategory category{WireErrorCategory::Runtime};  // error frames only
-  std::string message;                                     // error frames only
+  ExperimentResult result;  // ok entries only
+  WireErrorCategory category{WireErrorCategory::Runtime};  // error entries only
+  std::string message;                                     // error entries only
 };
-ResultFrame decode_result_frame(const std::vector<std::uint8_t>& frame);
-/// Interned flavour: the embedded envelope decodes through the per-study
-/// interner. nullptr behaves like the plain decode.
-ResultFrame decode_result_frame(const std::vector<std::uint8_t>& frame,
-                                ResultInterner* interner);
 
 // --- batched results ---------------------------------------------------------
 // Builder-style API over a caller-owned buffer: begin_result_batch resets it

@@ -17,10 +17,10 @@
 #include "apps/registry.hpp"
 #include "campaign/campaign.hpp"
 #include "campaign/remote_runner.hpp"
-#include "campaign/transport.hpp"
 #include "runtime/compiled_study.hpp"
 #include "runtime/experiment_context.hpp"
 #include "runtime/serialize.hpp"
+#include "support/fake_transport.hpp"
 
 namespace loki {
 namespace {

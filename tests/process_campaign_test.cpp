@@ -1,15 +1,15 @@
-// Process-sharded execution and the result cache: ProcessPoolRunner must be
-// indistinguishable from SerialRunner (byte-identical results, identical
-// sink event sequence, identical failure prefix), `run_worker_range` speaks
-// the shard frame protocol, and a warm ResultCache serves a repeated study
-// with zero run_experiment calls — through a parallel, in-order hit path
-// that must be indistinguishable from a serial loop.
+// The result cache and the runner grammar: a warm ResultCache serves a
+// repeated study with zero run_experiment calls — through a parallel,
+// in-order hit path that must be indistinguishable from a serial loop —
+// caches filled by procs:N and by serial serve each other, and
+// parse_runner_spec accepts exactly the documented backends. Process-runner
+// identity, failure prefixes and the worker frame stream are covered by
+// remote_runner_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fcntl.h>
 #include <filesystem>
 #include <memory>
 #include <optional>
@@ -23,11 +23,8 @@
 #include "apps/election.hpp"
 #include "campaign/cache.hpp"
 #include "campaign/campaign.hpp"
-#include "campaign/process_runner.hpp"
 #include "runtime/serialize.hpp"
-#include "util/codec.hpp"
 #include "util/error.hpp"
-#include "util/pipe_io.hpp"
 
 namespace loki {
 namespace {
@@ -131,113 +128,6 @@ class ForbiddenRunner final : public campaign::Runner {
   }
 };
 
-// --- serial <-> process identity --------------------------------------------
-
-TEST(ProcessRunner, ByteIdenticalToSerialIncludingSinkSequence) {
-  const auto study = fault_study("identity", 7);
-  const auto serial =
-      record_events(std::make_shared<campaign::SerialRunner>(), study);
-  const auto sharded =
-      record_events(std::make_shared<campaign::ProcessPoolRunner>(3), study);
-  ASSERT_EQ(serial.size(), sharded.size());
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    EXPECT_EQ(serial[i], sharded[i]) << "event " << i;
-}
-
-TEST(ProcessRunner, MoreWorkersThanExperiments) {
-  const auto study = fault_study("overprovisioned", 2);
-  const auto serial =
-      record_events(std::make_shared<campaign::SerialRunner>(), study);
-  const auto sharded =
-      record_events(std::make_shared<campaign::ProcessPoolRunner>(8), study);
-  EXPECT_EQ(serial, sharded);
-}
-
-TEST(ProcessRunner, RejectsNonPositiveWorkers) {
-  EXPECT_THROW(campaign::ProcessPoolRunner(0), ConfigError);
-}
-
-// --- failure-prefix semantics ------------------------------------------------
-
-/// A study whose generator throws ConfigError at `fail_at`.
-runtime::StudyParams failing_study(int experiments, int fail_at) {
-  runtime::StudyParams study = fault_study("failing", experiments, 4000);
-  auto inner = study.make_params;
-  study.make_params = [inner, fail_at](int k) {
-    if (k == fail_at)
-      throw ConfigError("generator exploded at " + std::to_string(k));
-    return inner(k);
-  };
-  return study;
-}
-
-TEST(ProcessRunner, FailurePrefixMatchesSerial) {
-  const int fail_at = 3;
-  const auto study = failing_study(6, fail_at);
-
-  const auto run_one = [&](std::shared_ptr<campaign::Runner> runner) {
-    std::vector<int> emitted;
-    std::string error;
-    try {
-      runner->run_study(study, [&](int k, ExperimentResult&&) {
-        emitted.push_back(k);
-      });
-    } catch (const ConfigError& e) {
-      error = e.what();
-    }
-    return std::pair(emitted, error);
-  };
-
-  const auto [serial_emitted, serial_error] =
-      run_one(std::make_shared<campaign::SerialRunner>());
-  const auto [proc_emitted, proc_error] =
-      run_one(std::make_shared<campaign::ProcessPoolRunner>(2));
-
-  EXPECT_EQ(serial_emitted, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(proc_emitted, serial_emitted);
-  ASSERT_FALSE(serial_error.empty());
-  ASSERT_FALSE(proc_error.empty());
-  // The remote ConfigError is rehydrated with the original message.
-  EXPECT_NE(proc_error.find("generator exploded at 3"), std::string::npos)
-      << proc_error;
-}
-
-// --- the shard frame protocol ------------------------------------------------
-
-TEST(WorkerRange, FramesDecodeToSerialResults) {
-  const auto study = fault_study("worker", 3, 5000);
-
-  // Write the shard's frames into a temp file (a pipe would need a reader
-  // thread once results exceed its buffer).
-  const std::string path = temp_dir("frames") + ".bin";
-  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_RDWR, 0600);
-  ASSERT_GE(fd, 0);
-  campaign::run_worker_range(study, 0, 3, 1, fd);
-  ASSERT_EQ(::lseek(fd, 0, SEEK_SET), 0);
-
-  // The shard emits ResultBatch frames; entries across all batches cover
-  // the range in order.
-  std::vector<runtime::ResultFrame> entries;
-  while (const auto frame = util::read_frame(fd)) {
-    EXPECT_EQ(runtime::worker_frame_type(*frame),
-              runtime::WorkerFrame::ResultBatch);
-    auto batch = runtime::decode_result_batch_frame(*frame);
-    EXPECT_FALSE(batch.empty()) << "a flushed batch is never empty";
-    for (auto& entry : batch) entries.push_back(std::move(entry));
-  }
-  ASSERT_EQ(entries.size(), 3u);
-  for (int k = 0; k < 3; ++k) {
-    EXPECT_TRUE(entries[k].ok) << "status ok";
-    EXPECT_EQ(entries[k].index, static_cast<std::uint32_t>(k));
-    const ExperimentResult direct =
-        runtime::run_experiment(study.make_params(k));
-    EXPECT_EQ(runtime::encode_experiment_result(entries[k].result),
-              runtime::encode_experiment_result(direct));
-  }
-  ::close(fd);
-  std::remove(path.c_str());
-}
-
 // --- the result cache --------------------------------------------------------
 
 TEST(ResultCacheTest, WarmRerunPerformsZeroRuns) {
@@ -295,8 +185,8 @@ TEST(ResultCacheTest, ProcessRunnerMissesFillTheCacheIdentically) {
   const auto study = fault_study("xrunner", 4, 8000);
 
   auto cache_proc = std::make_shared<campaign::ResultCache>(dir_proc);
-  const auto via_procs = record_events(
-      std::make_shared<campaign::ProcessPoolRunner>(2), study, cache_proc);
+  const auto via_procs = record_events(campaign::parse_runner_spec("procs:2"),
+                                       study, cache_proc);
   auto cache_serial = std::make_shared<campaign::ResultCache>(dir_serial);
   const auto via_serial = record_events(
       std::make_shared<campaign::SerialRunner>(), study, cache_serial);
@@ -675,14 +565,11 @@ TEST_F(CachePipeline, ResumeReplayThroughTheWindowIsByteIdentical) {
 TEST(RunnerSpec, ParsesEveryBackend) {
   EXPECT_EQ(campaign::parse_runner_spec("serial")->name(), "serial");
   EXPECT_EQ(campaign::parse_runner_spec("threads:3")->name(), "thread-pool(3)");
-  // procs:N is the crash-tolerant dynamic work queue over local worker
-  // processes; the static round-robin sharder stays reachable by name.
+  // procs:N, the crash-tolerant dynamic work queue over local worker
+  // processes, is the one local process runner.
   EXPECT_EQ(campaign::parse_runner_spec("procs:5")->name(),
             "remote(subprocess:5)");
   EXPECT_EQ(campaign::parse_runner_spec("procs:5")->parallelism(), 5);
-  EXPECT_EQ(campaign::parse_runner_spec("static-procs:5")->name(),
-            "process-pool(5)");
-  EXPECT_EQ(campaign::parse_runner_spec("static-procs:5")->parallelism(), 5);
   // Legacy bare integers keep working.
   EXPECT_EQ(campaign::parse_runner_spec("1")->name(), "serial");
   EXPECT_EQ(campaign::parse_runner_spec("4")->name(), "thread-pool(4)");
@@ -691,7 +578,7 @@ TEST(RunnerSpec, ParsesEveryBackend) {
 TEST(RunnerSpec, RejectsMalformedSpecs) {
   for (const char* bad :
        {"", "serial:2", "threads:", "threads:0", "procs:-1", "procs:x",
-        "static-procs:", "static-procs:0", "remote:", "fibers:2", "2.5"})
+        "procs:0", "static-procs:5", "remote:", "fibers:2", "2.5"})
     EXPECT_THROW(campaign::parse_runner_spec(bad), ConfigError) << bad;
   // remote: with a missing hostfile fails with the path in the message.
   EXPECT_THROW(campaign::parse_runner_spec("remote:/no/such/hostfile"),

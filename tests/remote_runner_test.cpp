@@ -6,9 +6,10 @@
 // requeued_indices / workers_lost). Also covers the liveness cadence:
 // heartbeats flow *during* a lease, so a slow-but-healthy worker is never
 // mistaken for a hung one, while a worker whose heartbeats stop (and whose
-// batches never flush) is still killed within hang_timeout. Also covers the `remote:`/`procs:` runner specs, hostfile
-// parsing, SshTransport argv construction (plus an end-to-end run through a
-// local ssh shim), and the `lokimeasure --worker` stride CLI.
+// batches never flush) is still killed within hang_timeout. Also covers the
+// `remote:`/`procs:` runner specs, hostfile parsing, SshTransport argv
+// construction (plus an end-to-end run through a local ssh shim), the frame
+// stream of `lokimeasure --worker --serve`, and lokimeasure's numeric flags.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,10 +31,10 @@
 #include "apps/election.hpp"
 #include "apps/registry.hpp"
 #include "campaign/campaign.hpp"
-#include "campaign/process_runner.hpp"
 #include "campaign/remote_runner.hpp"
 #include "campaign/transport.hpp"
 #include "runtime/serialize.hpp"
+#include "support/fake_transport.hpp"
 #include "util/codec.hpp"
 #include "util/error.hpp"
 #include "util/pipe_io.hpp"
@@ -281,7 +282,7 @@ TEST(RemoteRunnerFaults, FakeWorkerKilledMidCampaign) {
 
 TEST(RemoteRunnerFaults, SubprocessWorkerSigkilledMidCampaign) {
   // A decorator transport that SIGKILLs the victim's real process when the
-  // nth result-bearing frame (Result or ResultBatch) arrives — and swallows
+  // nth ResultBatch frame arrives — and swallows
   // that frame, as if the worker died mid-send. With batching a whole lease
   // can share one frame, so delivering it first would leave nothing
   // outstanding to requeue.
@@ -297,10 +298,8 @@ TEST(RemoteRunnerFaults, SubprocessWorkerSigkilledMidCampaign) {
       const auto carries_results = [](const campaign::RecvOutcome& o) {
         return o.status == campaign::RecvOutcome::Status::Frame &&
                !o.frame.empty() &&
-               (o.frame[0] ==
-                    static_cast<std::uint8_t>(runtime::WorkerFrame::Result) ||
-                o.frame[0] == static_cast<std::uint8_t>(
-                                  runtime::WorkerFrame::ResultBatch));
+               o.frame[0] == static_cast<std::uint8_t>(
+                                 runtime::WorkerFrame::ResultBatch);
       };
       if (carries_results(out) && ++seen_ == kill_after_) {
         inner_->kill();
@@ -1001,41 +1000,66 @@ TEST(SshTransportEndToEnd, IdenticalToSerialThroughSshShim) {
   expect_identical_events(serial.events, remote.events);
 }
 
-// --- `lokimeasure --worker` stride CLI ---------------------------------------
+// --- `lokimeasure --worker --serve` and the CLI's flags ---------------------
 
 int run_command(const std::string& command) {
   const int status = std::system(command.c_str());
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-TEST(WorkerStrideCli, InterleavedShardMatchesDirectExecution) {
+/// Write `frames` to a file in the pipe framing (util/pipe_io.hpp), for a
+/// worker's stdin.
+void write_frames(const std::string& path,
+                  const std::vector<std::vector<std::uint8_t>>& frames) {
+  const int fd = ::open(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0600);
+  ASSERT_GE(fd, 0);
+  for (const auto& frame : frames) util::write_frame(fd, frame);
+  ::close(fd);
+}
+
+/// Every ResultBatch frame a worker wrote to `path`, in order. HelloAck
+/// (the worker's pid) and Heartbeat frames (timed stats) differ between
+/// runs by design and are skipped.
+std::vector<std::vector<std::uint8_t>> result_batches(const std::string& path) {
+  std::vector<std::vector<std::uint8_t>> batches;
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  EXPECT_GE(fd, 0) << path;
+  if (fd < 0) return batches;
+  while (auto frame = util::read_frame(fd))
+    if (runtime::worker_frame_type(*frame) == runtime::WorkerFrame::ResultBatch)
+      batches.push_back(std::move(*frame));
+  ::close(fd);
+  return batches;
+}
+
+TEST(WorkerServeCli, StridedLeaseFramesAreDeterministicAndMatchDirectRuns) {
   const std::string bin = lokimeasure_bin();
   if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
 
-  const std::string dir = temp_dir("stride");
-  const auto study = fault_study("stride", 6, 61'000);
-  const std::vector<std::uint8_t> bytes = runtime::encode_study_params(study);
-  write_file(dir + "/study.bin",
-             std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                              bytes.size()));
+  const std::string dir = temp_dir("serve");
+  const auto study = fault_study("serve", 6, 61'000);
+  write_frames(dir + "/in.bin",
+               {runtime::encode_hello_frame(&study),
+                runtime::encode_lease_frame({/*id=*/1, /*lo=*/1, /*hi=*/6,
+                                             /*step=*/2}),
+                runtime::encode_shutdown_frame()});
+  for (const char* run : {"a", "b"})
+    ASSERT_EQ(run_command("'" + bin + "' --worker --serve < '" + dir +
+                          "/in.bin' > '" + dir + "/out-" + run + ".bin' 2>'" +
+                          dir + "/err-" + run + ".txt'"),
+              0)
+        << "run " << run;
 
-  ASSERT_EQ(run_command("'" + bin + "' --worker '" + dir +
-                        "/study.bin' 1 6 2 > '" + dir + "/frames.bin' 2>'" +
-                        dir + "/err.txt'"),
-            0);
+  const auto batches = result_batches(dir + "/out-a.bin");
+  ASSERT_FALSE(batches.empty());
+  EXPECT_EQ(batches, result_batches(dir + "/out-b.bin"))
+      << "ResultBatch frames must be byte-identical across runs";
 
   // Stride 2 from 1: indices 1, 3, 5 — byte-identical to running them here.
-  // The shard emits ResultBatch frames; flatten them in arrival order.
-  const int fd = ::open((dir + "/frames.bin").c_str(), O_RDONLY);
-  ASSERT_GE(fd, 0);
   std::vector<runtime::ResultFrame> entries;
-  while (const auto frame = util::read_frame(fd)) {
-    ASSERT_EQ(runtime::worker_frame_type(*frame),
-              runtime::WorkerFrame::ResultBatch);
-    for (auto& entry : runtime::decode_result_batch_frame(*frame))
+  for (const auto& batch : batches)
+    for (auto& entry : runtime::decode_result_batch_frame(batch))
       entries.push_back(std::move(entry));
-  }
-  ::close(fd);
   ASSERT_EQ(entries.size(), 3u);
   std::size_t at = 0;
   for (const int k : {1, 3, 5}) {
@@ -1048,19 +1072,41 @@ TEST(WorkerStrideCli, InterleavedShardMatchesDirectExecution) {
   }
 }
 
-TEST(WorkerStrideCli, RejectsNonPositiveStride) {
+TEST(WorkerServeCli, RejectsZeroStrideLease) {
   const std::string bin = lokimeasure_bin();
   if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
 
-  const std::string dir = temp_dir("stride-bad");
-  const auto study = fault_study("stride-bad", 3, 62'000);
-  const std::vector<std::uint8_t> bytes = runtime::encode_study_params(study);
-  write_file(dir + "/study.bin",
-             std::string_view(reinterpret_cast<const char*>(bytes.data()),
-                              bytes.size()));
-  EXPECT_NE(run_command("'" + bin + "' --worker '" + dir +
-                        "/study.bin' 0 3 0 > /dev/null 2>&1"),
+  const std::string dir = temp_dir("serve-bad");
+  const auto study = fault_study("serve-bad", 3, 62'000);
+  write_frames(dir + "/in.bin",
+               {runtime::encode_hello_frame(&study),
+                runtime::encode_lease_frame({1, 0, 3, /*step=*/0}),
+                runtime::encode_shutdown_frame()});
+  EXPECT_NE(run_command("'" + bin + "' --worker --serve < '" + dir +
+                        "/in.bin' > /dev/null 2>&1"),
             0);
+}
+
+TEST(LokimeasureCli, RejectsMalformedNumericFlags) {
+  const std::string bin = lokimeasure_bin();
+  if (bin.empty()) GTEST_SKIP() << "LOKIMEASURE_BIN not set";
+
+  const std::string dir = temp_dir("flags");
+  const std::string err = dir + "/err.txt";
+  const std::pair<const char*, const char*> cases[] = {
+      {"--experiments", "2abc"},     {"--experiments", ""},
+      {"--seed", "-1"},              {"--seed", ""},
+      {"--cache-max-entries", "-1"}, {"--cache-max-entries", ""},
+      {"--cache-max-bytes", "+5"},   {"--journal-group", "3x"},
+      {"--seed", "99999999999999999999"}};
+  for (const auto& [flag, value] : cases) {
+    EXPECT_NE(run_command("'" + bin + "' --campaign " + flag + " '" + value +
+                          "' > /dev/null 2>'" + err + "'"),
+              0)
+        << flag << " '" << value << "'";
+    EXPECT_NE(read_file(err).find(flag), std::string::npos)
+        << flag << " '" << value << "': " << read_file(err);
+  }
 }
 
 }  // namespace

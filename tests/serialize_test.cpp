@@ -527,37 +527,6 @@ TEST(WorkerFrames, ScalarFramesRoundTrip) {
             payload);
 }
 
-TEST(WorkerFrames, ResultFramesRoundTripBothArms) {
-  const auto ok =
-      runtime::encode_result_ok_frame(5, campaign::run_single(sample_params(13)));
-  const runtime::ResultFrame decoded_ok = runtime::decode_result_frame(ok);
-  EXPECT_TRUE(decoded_ok.ok);
-  EXPECT_EQ(decoded_ok.index, 5u);
-  EXPECT_EQ(runtime::encode_result_ok_frame(5, decoded_ok.result), ok);
-
-  const auto err = runtime::encode_result_error_frame(
-      8, runtime::WireErrorCategory::Config, "bad host 'zeppelin'");
-  const runtime::ResultFrame decoded_err = runtime::decode_result_frame(err);
-  EXPECT_FALSE(decoded_err.ok);
-  EXPECT_EQ(decoded_err.index, 8u);
-  EXPECT_EQ(decoded_err.category, runtime::WireErrorCategory::Config);
-  EXPECT_EQ(decoded_err.message, "bad host 'zeppelin'");
-}
-
-TEST(WorkerFrames, ZeroCopyResultFrameMatchesAllocatingFlavour) {
-  const ExperimentResult r = synthetic_result();
-  const auto fresh = runtime::encode_result_ok_frame(5, r);
-  std::vector<std::uint8_t> reused = {0xde, 0xad};  // stale bytes get cleared
-  runtime::encode_result_ok_frame(5, r, reused);
-  EXPECT_EQ(reused, fresh);
-  // Re-encoding into the same buffer reuses its capacity: no reallocation
-  // once the buffer has seen its largest frame.
-  const std::size_t cap = reused.capacity();
-  runtime::encode_result_ok_frame(5, r, reused);
-  EXPECT_EQ(reused, fresh);
-  EXPECT_EQ(reused.capacity(), cap);
-}
-
 TEST(WorkerFrames, ResultBatchRoundTripsMixedEntries) {
   std::vector<std::uint8_t> batch;
   runtime::begin_result_batch(batch);
@@ -587,6 +556,18 @@ TEST(WorkerFrames, ResultBatchRoundTripsMixedEntries) {
   EXPECT_EQ(entries[2].index, 5u);
   EXPECT_EQ(entries[2].category, runtime::WireErrorCategory::Logic);
   EXPECT_EQ(entries[2].message, "boom");
+
+  // Re-encoding the decoded entries reproduces the batch byte for byte.
+  std::vector<std::uint8_t> again;
+  runtime::begin_result_batch(again);
+  for (const runtime::ResultFrame& e : entries) {
+    if (e.ok)
+      runtime::append_result_ok_entry(again, e.index, e.result);
+    else
+      runtime::append_result_error_entry(again, e.index, e.category,
+                                         e.message);
+  }
+  EXPECT_EQ(again, batch);
 }
 
 TEST(WorkerFrames, InternedBatchDecodeMatchesPlainDecode) {
@@ -627,13 +608,22 @@ TEST(WorkerFrames, InternedBatchDecodeMatchesPlainDecode) {
 }
 
 TEST(WorkerFrames, BeginResultBatchReusesTheBuffer) {
-  std::vector<std::uint8_t> batch;
+  std::vector<std::uint8_t> fresh;
+  runtime::begin_result_batch(fresh);
+  runtime::append_result_ok_entry(fresh, 0, synthetic_result());
+
+  std::vector<std::uint8_t> batch = {0xde, 0xad};  // stale bytes get cleared
   runtime::begin_result_batch(batch);
   runtime::append_result_ok_entry(batch, 0, synthetic_result());
+  EXPECT_EQ(batch, fresh);
   const std::size_t cap = batch.capacity();
   runtime::begin_result_batch(batch);
   EXPECT_TRUE(runtime::result_batch_empty(batch));
   EXPECT_EQ(batch.capacity(), cap) << "reset must keep the allocation";
+  // Refilling the kept allocation reproduces the batch without growing it.
+  runtime::append_result_ok_entry(batch, 0, synthetic_result());
+  EXPECT_EQ(batch, fresh);
+  EXPECT_EQ(batch.capacity(), cap);
 }
 
 TEST(WorkerFrames, MalformedBatchYieldsNoPartialResults) {
@@ -655,9 +645,12 @@ TEST(WorkerFrames, MalformedBatchYieldsNoPartialResults) {
   EXPECT_THROW(runtime::decode_result_batch_frame(truncated), DecodeError);
   EXPECT_THROW(runtime::result_batch_entry_count(truncated), DecodeError);
 
-  // A Result frame is not a ResultBatch frame.
-  const auto single = runtime::encode_result_ok_frame(0, ExperimentResult{});
-  EXPECT_THROW(runtime::decode_result_batch_frame(single), DecodeError);
+  // A frame of the retired single-result type (5) is not a ResultBatch
+  // frame, however its body looks.
+  auto retired = batch;
+  retired[0] = 5;
+  EXPECT_THROW(runtime::decode_result_batch_frame(retired), DecodeError);
+  EXPECT_THROW(runtime::result_batch_entry_count(retired), DecodeError);
 }
 
 TEST(WorkerFrames, ErrorClassificationSurvivesTheWire) {
@@ -682,6 +675,8 @@ TEST(WorkerFrames, MalformedFramesAreRejected) {
   EXPECT_THROW(runtime::worker_frame_type({}), DecodeError);
   EXPECT_THROW(runtime::worker_frame_type({0}), DecodeError);
   EXPECT_THROW(runtime::worker_frame_type({0x7f}), DecodeError);
+  // 5 was the single-result frame; it stays unassigned.
+  EXPECT_THROW(runtime::worker_frame_type({5}), DecodeError);
   // A frame of the wrong type for the decoder at hand.
   EXPECT_THROW(runtime::decode_lease_frame(runtime::encode_heartbeat_frame(1)),
                DecodeError);
@@ -689,9 +684,11 @@ TEST(WorkerFrames, MalformedFramesAreRejected) {
   auto lease = runtime::encode_lease_frame({1, 0, 4, 1});
   lease.resize(lease.size() - 3);
   EXPECT_THROW(runtime::decode_lease_frame(lease), DecodeError);
-  auto ok = runtime::encode_result_ok_frame(0, ExperimentResult{});
+  std::vector<std::uint8_t> ok;
+  runtime::begin_result_batch(ok);
+  runtime::append_result_ok_entry(ok, 0, ExperimentResult{});
   ok.resize(ok.size() - 1);
-  EXPECT_THROW(runtime::decode_result_frame(ok), DecodeError);
+  EXPECT_THROW(runtime::decode_result_batch_frame(ok), DecodeError);
   // Trailing garbage.
   auto heartbeat = runtime::encode_heartbeat_frame(2);
   heartbeat.push_back(0);

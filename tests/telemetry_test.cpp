@@ -19,8 +19,8 @@
 #include "campaign/campaign.hpp"
 #include "campaign/remote_runner.hpp"
 #include "campaign/sink.hpp"
-#include "campaign/transport.hpp"
 #include "runtime/worker_stats.hpp"
+#include "support/fake_transport.hpp"
 #include "util/text_file.hpp"
 
 namespace loki {

@@ -25,6 +25,7 @@
 #include "campaign/remote_runner.hpp"
 #include "campaign/transport.hpp"
 #include "runtime/serialize.hpp"
+#include "support/fake_transport.hpp"
 #include "util/error.hpp"
 #include "util/text_file.hpp"
 
